@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all check fmt vet build test race bench benchsmoke profile passes fuzz cover soak clean
+.PHONY: all check fmt vet build test race bench benchsmoke perfbench profile passes fuzz cover soak clean
 
 all: check
 
-check: fmt vet build race benchsmoke soak
+check: fmt vet build race benchsmoke perfbench soak
 
 # gofmt must produce no output (no unformatted files).
 fmt:
@@ -49,6 +49,12 @@ profile:
 # benchmarks without paying for a full measurement.
 benchsmoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+
+# The end-to-end benchmark (perfbench/) is its own module, so `go build
+# ./...` and `go vet ./...` above never compile it; vet and test it here
+# so API changes it depends on cannot break it unnoticed.
+perfbench:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Native-fuzzing smoke of every fuzz target: seed corpus plus FUZZTIME
 # of random exploration per target (go's fuzz engine takes one target

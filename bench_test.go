@@ -510,7 +510,8 @@ func BenchmarkSimulate(b *testing.B) {
 	benchSimulate(b, sim.InterpVM)
 }
 
-// BenchmarkSimulateTree is BenchmarkSimulate under -interp=tree.
+// BenchmarkSimulateTree is BenchmarkSimulate through the tree-walking
+// oracle.
 func BenchmarkSimulateTree(b *testing.B) {
 	benchSimulate(b, sim.InterpTree)
 }
@@ -782,35 +783,6 @@ func BenchmarkSessionEditCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := core.CompileSource(uc.Source, opts[i%2]); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkVMExecSuperOff is BenchmarkVMExec with the multiply-
-// accumulate superinstructions disabled at compile time — the A-B
-// column isolating the fused-dispatch win (results are bit-identical
-// either way; only the dispatch count differs).
-func BenchmarkVMExecSuperOff(b *testing.B) {
-	prog := vmBenchProgram(b)
-	vm.SetSuperinstructions(false)
-	cp, err := vm.Compile(prog)
-	vm.SetSuperinstructions(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := vm.NewMachine(cp, nil)
-	in := usecases.POLKA().Inputs(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Init(in); err != nil {
-			b.Fatal(err)
-		}
-		if err := m.ExecEntry(); err != nil {
-			b.Fatal(err)
-		}
-		if got := m.Results(); len(got) == 0 {
-			b.Fatal("no results")
 		}
 	}
 }

@@ -14,11 +14,6 @@
 // while draining after SIGTERM), and /debug/vars expose health and
 // metrics. See docs/SERVICE.md.
 //
-// -interp selects the simulator execution engine for every request: the
-// compiled register-bytecode VM (default) or the tree-walking oracle.
-// The engines are bit-identical, so the choice is deliberately not part
-// of the result-cache keys.
-//
 // -peers puts the daemon in coordinator mode: compile and optimize
 // requests are consistent-hash sharded across the listed argod replicas
 // (rendezvous hashing with a bounded-load fallback via
@@ -52,21 +47,15 @@ import (
 	"syscall"
 	"time"
 
-	"argo/internal/ir/vm"
-	"argo/internal/pass"
 	"argo/internal/service"
-	"argo/internal/sim"
 	"argo/pkg/argo"
 )
 
 // config is the validated daemon configuration produced by parseFlags.
 type config struct {
-	addr         string
-	grace        time.Duration
-	passCacheMax int
-	vmCacheMax   int
-	interp       sim.Interp
-	service      service.Config
+	addr    string
+	grace   time.Duration
+	service service.Config
 }
 
 // parseFlags parses and validates the command line. On failure it
@@ -76,23 +65,20 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 	fs := flag.NewFlagSet("argod", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr         = fs.String("addr", ":8321", "listen address")
-		workers      = fs.Int("workers", runtime.NumCPU(), "max concurrent pipeline executions")
-		cache        = fs.Int("cache", 256, "result cache capacity in entries (-1: unbounded)")
-		timeout      = fs.Duration("timeout", 60*time.Second, "per-request pipeline budget")
-		grace        = fs.Duration("grace", 10*time.Second, "graceful shutdown budget")
-		maxBody      = fs.Int64("max-body", 4<<20, "max request body bytes")
-		maxQueue     = fs.Int("max-queue", 0, "max queued requests before load shedding (0: 4x workers, -1: unbounded)")
-		maxSessions  = fs.Int("max-sessions", argo.DefaultMaxSessions, "max live interactive sessions (LRU-evicted beyond)")
-		sessionTTL   = fs.Duration("session-ttl", argo.DefaultSessionTTL, "idle expiry of interactive sessions")
-		passCacheMax = fs.Int("pass-cache-max", 0, "max snapshots in the global pass cache (0: default bound)")
-		vmCacheMax   = fs.Int("vm-cache-max", 0, "max compiled programs in the shared VM code cache (0: default bound)")
-		interp       = fs.String("interp", "vm", "simulator execution engine: vm (bytecode) or tree (oracle)")
-		wcetEngine   = fs.String("wcet-engine", "", "code-level WCET engine: ipet (default), mc, or both (cross-checked)")
-		peers        = fs.String("peers", "", "comma-separated replica base URLs; non-empty enables coordinator mode")
-		coordinator  = fs.Bool("coordinator", false, "run as cluster coordinator (requires -peers; implied by -peers)")
-		maxPerRep    = fs.Int("max-per-replica", 0, "bounded-load fallback: max in-flight forwards per replica (0: unbounded)")
-		fwdTimeout   = fs.Duration("forward-timeout", 30*time.Second, "per-attempt budget for forwarded cluster requests")
+		addr        = fs.String("addr", ":8321", "listen address")
+		workers     = fs.Int("workers", runtime.NumCPU(), "max concurrent pipeline executions")
+		cache       = fs.Int("cache", 256, "result cache capacity in entries (-1: unbounded)")
+		timeout     = fs.Duration("timeout", 60*time.Second, "per-request pipeline budget")
+		grace       = fs.Duration("grace", 10*time.Second, "graceful shutdown budget")
+		maxBody     = fs.Int64("max-body", 4<<20, "max request body bytes")
+		maxQueue    = fs.Int("max-queue", 0, "max queued requests before load shedding (0: 4x workers, -1: unbounded)")
+		maxSessions = fs.Int("max-sessions", argo.DefaultMaxSessions, "max live interactive sessions (LRU-evicted beyond)")
+		sessionTTL  = fs.Duration("session-ttl", argo.DefaultSessionTTL, "idle expiry of interactive sessions")
+		wcetEngine  = fs.String("wcet-engine", "", "code-level WCET engine: ipet (default), mc, or both (cross-checked)")
+		peers       = fs.String("peers", "", "comma-separated replica base URLs; non-empty enables coordinator mode")
+		coordinator = fs.Bool("coordinator", false, "run as cluster coordinator (requires -peers; implied by -peers)")
+		maxPerRep   = fs.Int("max-per-replica", 0, "bounded-load fallback: max in-flight forwards per replica (0: unbounded)")
+		fwdTimeout  = fs.Duration("forward-timeout", 30*time.Second, "per-attempt budget for forwarded cluster requests")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, 2
@@ -100,11 +86,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "argod: unexpected arguments: %v\n", fs.Args())
 		fs.Usage()
-		return nil, 2
-	}
-	engine, err := sim.ParseInterp(*interp)
-	if err != nil {
-		fmt.Fprintf(stderr, "argod: %v\n", err)
 		return nil, 2
 	}
 	if err := argo.ParseWCETEngine(*wcetEngine); err != nil {
@@ -115,8 +96,8 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 		fmt.Fprintln(stderr, "argod: -workers, -timeout, -grace, and -max-body must be positive")
 		return nil, 2
 	}
-	if *maxSessions <= 0 || *sessionTTL <= 0 || *passCacheMax < 0 || *vmCacheMax < 0 {
-		fmt.Fprintln(stderr, "argod: -max-sessions and -session-ttl must be positive, -pass-cache-max and -vm-cache-max non-negative")
+	if *maxSessions <= 0 || *sessionTTL <= 0 {
+		fmt.Fprintln(stderr, "argod: -max-sessions and -session-ttl must be positive")
 		return nil, 2
 	}
 	peerList, err := parsePeers(*peers)
@@ -133,11 +114,8 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 		return nil, 2
 	}
 	return &config{
-		addr:         *addr,
-		grace:        *grace,
-		passCacheMax: *passCacheMax,
-		vmCacheMax:   *vmCacheMax,
-		interp:       engine,
+		addr:  *addr,
+		grace: *grace,
 		service: service.Config{
 			Workers:        *workers,
 			CacheEntries:   *cache,
@@ -182,16 +160,6 @@ func main() {
 	if cfg == nil {
 		os.Exit(code)
 	}
-	// The engine is a process-wide default: every simulation the daemon
-	// runs resolves InterpAuto to this choice.
-	sim.SetInterp(cfg.interp)
-	// Bound the process-wide pass cache; entry count and evictions are
-	// exported as argo_pass_cache_{entries,evictions} in /debug/vars.
-	pass.Global.SetMax(cfg.passCacheMax)
-	// Bound the shared VM code cache likewise; observable as
-	// argo_vm_shared_{entries,evictions} in /debug/vars.
-	vm.SetSharedMax(cfg.vmCacheMax)
-
 	srv := service.NewServer(cfg.service)
 	// Publish the service metrics into the process-global expvar
 	// registry too, so the stock expvar handler sees them.
@@ -205,8 +173,8 @@ func main() {
 	if len(cfg.service.Peers) > 0 {
 		log.Printf("coordinator over %d replicas: %v", len(cfg.service.Peers), cfg.service.Peers)
 	}
-	log.Printf("listening on %s (workers %d, cache %d entries, timeout %v, interp %s)",
-		cfg.addr, cfg.service.Workers, cfg.service.CacheEntries, cfg.service.Timeout, cfg.interp)
+	log.Printf("listening on %s (workers %d, cache %d entries, timeout %v)",
+		cfg.addr, cfg.service.Workers, cfg.service.CacheEntries, cfg.service.Timeout)
 	if err := srv.ListenAndServe(ctx, cfg.addr, cfg.grace); err != nil && err != http.ErrServerClosed {
 		log.Printf("serve: %v", err)
 		os.Exit(1)

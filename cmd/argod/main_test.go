@@ -2,10 +2,7 @@ package main
 
 import (
 	"bytes"
-	"strings"
 	"testing"
-
-	"argo/internal/sim"
 )
 
 func parseCLI(t *testing.T, args ...string) (*config, int, string) {
@@ -23,34 +20,19 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.addr != ":8321" {
 		t.Errorf("addr = %q, want :8321", cfg.addr)
 	}
-	if cfg.interp != sim.InterpVM {
-		t.Errorf("interp = %v, want vm", cfg.interp)
-	}
 	if cfg.service.Workers <= 0 || cfg.service.CacheEntries != 256 {
 		t.Errorf("unexpected service config: %+v", cfg.service)
 	}
 }
 
-func TestParseFlagsInterp(t *testing.T) {
-	cfg, code, errb := parseCLI(t, "-interp", "tree")
-	if cfg == nil || code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, errb)
-	}
-	if cfg.interp != sim.InterpTree {
-		t.Errorf("interp = %v, want tree", cfg.interp)
-	}
-}
-
 func TestParseFlagsUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
-		{"-nosuchflag"},           // flag misuse
-		{"positional"},            // unexpected arguments
-		{"-interp", "jit"},        // unknown engine
-		{"-wcet-engine", "tree"},  // unknown WCET engine
-		{"-workers", "0"},         // non-positive worker pool
-		{"-timeout", "-1s"},       // non-positive budget
-		{"-max-sessions", "0"},    // non-positive session cap
-		{"-pass-cache-max", "-1"}, // negative cache bound
+		{"-nosuchflag"},          // flag misuse
+		{"positional"},           // unexpected arguments
+		{"-wcet-engine", "tree"}, // unknown WCET engine
+		{"-workers", "0"},        // non-positive worker pool
+		{"-timeout", "-1s"},      // non-positive budget
+		{"-max-sessions", "0"},   // non-positive session cap
 	} {
 		cfg, code, _ := parseCLI(t, args...)
 		if cfg != nil || code != 2 {
@@ -66,13 +48,6 @@ func TestParseFlagsWCETEngine(t *testing.T) {
 	}
 	if cfg.service.WCETEngine != "both" {
 		t.Errorf("service.WCETEngine = %q, want both", cfg.service.WCETEngine)
-	}
-}
-
-func TestParseFlagsUnknownInterpMessage(t *testing.T) {
-	_, _, errb := parseCLI(t, "-interp", "jit")
-	if !strings.Contains(errb, "unknown interpreter") {
-		t.Fatalf("missing interpreter error:\n%s", errb)
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"expvar"
 	"fmt"
@@ -11,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"argo/internal/memo"
 )
 
 // Process-wide cluster counters, visible on /debug/vars. Per-cluster
@@ -81,8 +82,8 @@ func (r *replica) down(now time.Time) bool {
 	return now.UnixNano() < r.downUntil.Load()
 }
 
-// hotEntry is one warm-replication descriptor: replaying Body against
-// Path on a key's new owner reproduces (and therefore caches) the
+// hotEntry is one warm-replication descriptor: replaying body against
+// path on a key's new owner reproduces (and therefore caches) the
 // result there, because the service's caches are content-addressed.
 type hotEntry struct {
 	key  string
@@ -139,8 +140,7 @@ type Cluster struct {
 
 	mu   sync.Mutex
 	reps map[string]*replica
-	hot  map[string]*list.Element
-	lru  *list.List // of *hotEntry; front = most recently used
+	hot  *memo.Cache[string, hotEntry] // nil when the hot set is disabled
 
 	rebalancing atomic.Int64 // number of in-flight warm replications
 
@@ -157,8 +157,9 @@ func New(opt Options) *Cluster {
 		opt:    opt,
 		client: opt.Client,
 		reps:   make(map[string]*replica),
-		hot:    make(map[string]*list.Element),
-		lru:    list.New(),
+	}
+	if opt.HotSet > 0 {
+		c.hot = memo.New[string, hotEntry](opt.HotSet, nil)
 	}
 	c.ring.Store(NewRing(opt.Peers))
 	return c
@@ -341,28 +342,17 @@ func (c *Cluster) markDown(rep *replica, member string, err error) {
 // record remembers a successfully served key's request descriptor in
 // the bounded hot set.
 func (c *Cluster) record(key, path string, body []byte) {
-	if c.opt.HotSet == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.hot[key]; ok {
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.hot[key] = c.lru.PushFront(&hotEntry{key: key, path: path, body: body})
-	if c.lru.Len() > c.opt.HotSet {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.hot, oldest.Value.(*hotEntry).key)
+	if c.hot != nil {
+		c.hot.Put(key, hotEntry{key: key, path: path, body: body})
 	}
 }
 
 // HotKeys returns the number of keys currently in the hot set.
 func (c *Cluster) HotKeys() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
+	if c.hot == nil {
+		return 0
+	}
+	return c.hot.Len()
 }
 
 // SetMembers swaps the member set and kicks off warm replication in the
@@ -375,15 +365,16 @@ func (c *Cluster) SetMembers(members []string) {
 	next := NewRing(members)
 	c.ring.Store(next)
 
-	c.mu.Lock()
-	var moves []*hotEntry
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*hotEntry)
-		if old.Owner(e.key) != next.Owner(e.key) {
-			moves = append(moves, e)
-		}
+	var moves []hotEntry
+	if c.hot != nil {
+		// Most recently served first, so the hottest keys warm first.
+		c.hot.Range(func(key string, e hotEntry) bool {
+			if old.Owner(key) != next.Owner(key) {
+				moves = append(moves, e)
+			}
+			return true
+		})
 	}
-	c.mu.Unlock()
 	if len(moves) == 0 {
 		return
 	}
@@ -394,7 +385,7 @@ func (c *Cluster) SetMembers(members []string) {
 // warm replays moved hot entries against their new owners on a bounded
 // worker set. Failures are tolerated (the shard simply stays cold and
 // the next live request recomputes it); successes count as rebalances.
-func (c *Cluster) warm(moves []*hotEntry) {
+func (c *Cluster) warm(moves []hotEntry) {
 	defer c.rebalancing.Add(-1)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()

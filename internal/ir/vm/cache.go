@@ -2,145 +2,54 @@ package vm
 
 import (
 	"expvar"
-	"sync"
+
+	"argo/internal/memo"
 )
 
 // Shared compiled-code cache. CompileRegions is the dominant cold-path
 // cost of the simulator's first run over a parallel program; identical
-// IR compiled under the same region partition and fusion mask yields
-// behaviourally identical code, so compiled Programs are shared process-
-// wide — across par.Programs, interactive sessions, and argod requests
-// — the same way internal/pass shares structural pass results.
+// IR compiled under the same region partition yields behaviourally
+// identical code, so compiled Programs are shared process-wide — across
+// par.Programs, interactive sessions, and argod requests — the same way
+// internal/pass shares structural pass results.
 //
 // The cache is content-addressed: the caller derives the CacheKey from
 // a fingerprint of everything compilation reads (internal/sim hashes
 // the IR program fingerprint — vars in registration order with storage
 // classes, the entry body — plus the per-region statement fingerprints
-// in task order and the superinstruction mask). Equal keys therefore
-// imply equal compiled behaviour. Sharing the *Program value itself is
-// safe because a compiled Program is immutable and safe for concurrent
-// Machines by construction.
+// in task order). Equal keys therefore imply equal compiled behaviour.
+// Sharing the *Program value itself is safe because a compiled Program
+// is immutable and safe for concurrent Machines by construction.
 //
 // Like the pass cache, this is an accelerator, not a correctness
-// mechanism: bounded (one arbitrary eviction per insert at capacity),
-// sharded to keep lookup contention off the simulator hot path.
+// mechanism: a bounded LRU (internal/memo) of 256 programs. Compiled
+// programs are a few instructions per source statement; hundreds of
+// cached programs are cheap, unbounded growth in a long-running argod
+// is not.
 
 // CacheKey content-addresses one compiled Program (SHA-256 of the
 // compilation inputs, computed by the caller).
 type CacheKey [32]byte
 
-const (
-	vmShardBits = 4
-	vmShards    = 1 << vmShardBits
-	// vmShardMax bounds entries per shard by default (256 programs in
-	// total). Compiled programs are a few instructions per source
-	// statement; hundreds of cached programs are cheap, unbounded growth
-	// in a long-running argod is not.
-	vmShardMax = 16
-)
-
-type vmShard struct {
-	mu sync.RWMutex
-	m  map[CacheKey]*Program
-}
-
-var sharedCode struct {
-	shards      [vmShards]vmShard
-	mu          sync.Mutex // guards maxPerShard
-	maxPerShard int
-}
-
-func vmShardOf(k CacheKey) *vmShard {
-	return &sharedCode.shards[k[0]>>(8-vmShardBits)]
-}
-
-func vmShardMaxNow() int {
-	sharedCode.mu.Lock()
-	defer sharedCode.mu.Unlock()
-	if sharedCode.maxPerShard > 0 {
-		return sharedCode.maxPerShard
-	}
-	return vmShardMax
-}
+var sharedCode = memo.New[CacheKey, *Program](256, func(k CacheKey) byte { return k[0] })
 
 // SharedLookup returns the compiled Program cached under k, if any.
-func SharedLookup(k CacheKey) (*Program, bool) {
-	s := vmShardOf(k)
-	s.mu.RLock()
-	p, ok := s.m[k]
-	s.mu.RUnlock()
-	return p, ok
-}
+func SharedLookup(k CacheKey) (*Program, bool) { return sharedCode.Get(k) }
 
-// SharedStore caches p under k. At capacity an arbitrary entry is
-// evicted; which compiled program survives never affects results, only
-// which future compilations are skipped.
-func SharedStore(k CacheKey, p *Program) {
-	max := vmShardMaxNow()
-	s := vmShardOf(k)
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[CacheKey]*Program)
-	}
-	if _, exists := s.m[k]; !exists {
-		for len(s.m) >= max {
-			for old := range s.m {
-				delete(s.m, old)
-				sharedEvictions.Add(1)
-				break
-			}
-		}
-	}
-	s.m[k] = p
-	s.mu.Unlock()
-}
+// SharedStore caches p under k. At capacity the least recently used
+// program is evicted; which compiled program survives never affects
+// results, only which future compilations are skipped.
+func SharedStore(k CacheKey, p *Program) { sharedCode.Put(k, p) }
 
 // SharedLen returns the number of cached compiled programs.
-func SharedLen() int {
-	n := 0
-	for i := range sharedCode.shards {
-		s := &sharedCode.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-// SetSharedMax rebounds the cache to at most maxEntries compiled
-// programs across all shards (maxEntries <= 0 restores the default
-// bound). Shards above the new bound shrink lazily as inserts arrive.
-// argod exposes this as -vm-cache-max.
-func SetSharedMax(maxEntries int) {
-	sharedCode.mu.Lock()
-	defer sharedCode.mu.Unlock()
-	if maxEntries <= 0 {
-		sharedCode.maxPerShard = 0
-		return
-	}
-	per := maxEntries / vmShards
-	if per < 1 {
-		per = 1
-	}
-	sharedCode.maxPerShard = per
-}
+func SharedLen() int { return sharedCode.Len() }
 
 // SharedReset drops every cached compiled program (tests and cold-path
 // benchmarks). The eviction counter is preserved.
-func SharedReset() {
-	for i := range sharedCode.shards {
-		s := &sharedCode.shards[i]
-		s.mu.Lock()
-		s.m = nil
-		s.mu.Unlock()
-	}
-}
+func SharedReset() { sharedCode.Reset() }
 
 // Shared-cache observability, served by argod's /debug/vars.
-var sharedEvictions = expvar.NewInt("argo_vm_shared_evictions")
-
 func init() {
-	expvar.Publish("argo_vm_shared_entries", expvar.Func(func() any {
-		return SharedLen()
-	}))
+	expvar.Publish("argo_vm_shared_entries", expvar.Func(func() any { return sharedCode.Len() }))
+	expvar.Publish("argo_vm_shared_evictions", expvar.Func(func() any { return sharedCode.Stats().Evictions }))
 }

@@ -117,21 +117,6 @@ const (
 	// separate step + jump back to the head's opForCond (which still
 	// exists to handle the first iteration, un-stepped).
 	opForNext
-	// Superinstructions (profile-guided, see profile.go): the four
-	// multiply-accumulate shapes fused from an opMul feeding an opAdd or
-	// opSub, one dispatch instead of two. The dispatch cases round the
-	// product through an explicit float64 conversion so no hardware FMA
-	// contraction can occur — results stay bit-identical to the unfused
-	// pair (and to the tree walker).
-	//
-	// opMulAdd: regs[a] = float64(regs[b]*regs[c]) + regs[d]
-	// opAddMul: regs[a] = regs[b] + float64(regs[c]*regs[d])
-	// opMulSub: regs[a] = float64(regs[b]*regs[c]) - regs[d]
-	// opSubMul: regs[a] = regs[b] - float64(regs[c]*regs[d])
-	opMulAdd
-	opAddMul
-	opMulSub
-	opSubMul
 )
 
 // Burn fusion: opBurn followed by a pure single-instruction operation
@@ -154,7 +139,6 @@ var burnFusible = [burnDelta]bool{
 	opIntr1: true, opIntr2: true,
 	opToInt: true, opLoad1: true, opLoad2: true, opIdx1: true, opIdx2: true,
 	opLoopPrep: true,
-	opMulAdd:   true, opAddMul: true, opMulSub: true, opSubMul: true,
 }
 
 // instr is one bytecode instruction; operand meaning depends on op.
@@ -837,9 +821,6 @@ func (c *compiler) expr(e ir.Expr, dst int32) {
 		}
 		c.release(m)
 	case *ir.Bin:
-		if c.fuseSuper(x, dst) {
-			return
-		}
 		m := c.mark()
 		a := c.operand(x.X)
 		b := c.operand(x.Y)
@@ -912,68 +893,4 @@ func (c *compiler) expr(e ir.Expr, dst int32) {
 	default:
 		c.emit(instr{op: opErr, a: c.errIdx(fmt.Errorf("ir: unknown expression %T", e))})
 	}
-}
-
-// fuseSuper emits one multiply-accumulate superinstruction for an
-// Add/Sub whose X or Y operand is a Mul, when the matching fusion bit
-// is enabled; reports whether it emitted. Equivalence with the unfused
-// opMul + opAdd/opSub pair:
-//
-//   - Values: the dispatch case rounds the product to float64 through an
-//     explicit conversion before the accumulate, the same two-rounding
-//     sequence the separate instructions perform (no FMA contraction).
-//   - Side-effect order: operands compile in exactly the order the
-//     unfused form evaluates them (X's subexpressions, then Y's), so
-//     every meter event and every fallible instruction keeps its
-//     position. The multiply itself is pure, emits no meter event, and
-//     cannot fail, so deferring it into the superinstruction — past the
-//     other operand's materialization — is unobservable; the registers
-//     it reads are stable because expression code never writes variable
-//     or constant home registers and sibling temporaries are fresh.
-//   - Fuel and meter charges: per-statement (opBurn, opOps from
-//     ExprOpUnits on the IR tree), independent of instruction count.
-//   - The elided product register was a pure single-use temporary.
-func (c *compiler) fuseSuper(x *ir.Bin, dst int32) bool {
-	if x.Op != ir.OpAdd && x.Op != ir.OpSub {
-		return false
-	}
-	mask := superMask.Load()
-	if mask == 0 {
-		return false
-	}
-	if mx, ok := x.X.(*ir.Bin); ok && mx.Op == ir.OpMul {
-		o, bit := opMulAdd, SuperMulAdd
-		if x.Op == ir.OpSub {
-			o, bit = opMulSub, SuperMulSub
-		}
-		if mask&bit == 0 {
-			return false
-		}
-		m := c.mark()
-		p := c.operand(mx.X)
-		q := c.operand(mx.Y)
-		z := c.operand(x.Y)
-		c.emit(instr{op: o, a: dst, b: p, c: q, d: z})
-		c.release(m)
-		superFused.Add(1)
-		return true
-	}
-	if my, ok := x.Y.(*ir.Bin); ok && my.Op == ir.OpMul {
-		o, bit := opAddMul, SuperAddMul
-		if x.Op == ir.OpSub {
-			o, bit = opSubMul, SuperSubMul
-		}
-		if mask&bit == 0 {
-			return false
-		}
-		m := c.mark()
-		z := c.operand(x.X)
-		p := c.operand(my.X)
-		q := c.operand(my.Y)
-		c.emit(instr{op: o, a: dst, b: z, c: p, d: q})
-		c.release(m)
-		superFused.Add(1)
-		return true
-	}
-	return false
 }

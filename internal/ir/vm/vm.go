@@ -48,17 +48,7 @@ type Machine struct {
 	fuel  int
 
 	vals []scil.Value // scratch for boxed intrinsic calls
-
-	// profile, when non-nil, records dispatched opcode pairs (see
-	// PairProfile); superHits batches superinstruction dispatches and is
-	// flushed to argo_superinst_dispatched at exec exit.
-	profile   *PairProfile
-	superHits int64
 }
-
-// SetPairProfile attaches (or detaches, with nil) a dispatch-pair
-// recorder. Recording survives Reset only if re-attached.
-func (m *Machine) SetPairProfile(p *PairProfile) { m.profile = p }
 
 // NewMachine returns a machine for prog. meter may be nil.
 func NewMachine(prog *Program, meter ir.Meter) *Machine {
@@ -230,10 +220,6 @@ func (m *Machine) exec(code *Code) error {
 	// across regions.
 	fuel, err := m.run(code, m.fuel)
 	m.fuel = fuel
-	if m.superHits != 0 {
-		superDispatched.Add(m.superHits)
-		m.superHits = 0
-	}
 	return err
 }
 
@@ -245,8 +231,6 @@ func (m *Machine) run(code *Code, fuel int) (int, error) {
 	mats := m.mats
 	iters := m.iters
 	meter := m.meter
-	prof := m.profile
-	prev := opHalt
 	pc := 0
 	for {
 		in := ins[pc]
@@ -260,10 +244,6 @@ func (m *Machine) run(code *Code, fuel int) (int, error) {
 				return fuel, errFuel
 			}
 			o -= burnDelta
-		}
-		if prof != nil {
-			prof.counts[prev][o]++
-			prev = o
 		}
 		switch o {
 		case opHalt:
@@ -499,22 +479,6 @@ func (m *Machine) run(code *Code, fuel int) (int, error) {
 				return fuel, fmt.Errorf("ir: while loop exceeded its @bound %d", li.limit)
 			}
 			iters[in.a]++
-		case opMulAdd:
-			// Explicit float64 conversion: the Go spec makes it round the
-			// product, which forbids FMA contraction — two roundings,
-			// exactly as the unfused opMul + opAdd pair (bit-identity with
-			// the tree walker). Same in the three cases below.
-			regs[in.a] = float64(regs[in.b]*regs[in.c]) + regs[in.d]
-			m.superHits++
-		case opAddMul:
-			regs[in.a] = regs[in.b] + float64(regs[in.c]*regs[in.d])
-			m.superHits++
-		case opMulSub:
-			regs[in.a] = float64(regs[in.b]*regs[in.c]) - regs[in.d]
-			m.superHits++
-		case opSubMul:
-			regs[in.a] = regs[in.b] - float64(regs[in.c]*regs[in.d])
-			m.superHits++
 		case opErr:
 			return fuel, code.errs[in.a]
 		default:

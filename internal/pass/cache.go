@@ -5,6 +5,8 @@ import (
 	"expvar"
 	"sync"
 	"sync/atomic"
+
+	"argo/internal/memo"
 )
 
 // The pass cache is content-addressed: a key is the SHA-256 of the pass
@@ -12,10 +14,10 @@ import (
 // equal keys are guaranteed (by the fingerprint contract) to produce
 // identical outputs, and a hit restores a deep copy of the frozen
 // snapshot. Like the code-level bound cache in internal/wcet, the cache
-// is an accelerator, not a correctness mechanism: it is sharded to keep
-// contention low under parallel candidate evaluation and bounded so a
-// long-running argod cannot grow it without limit (at capacity, one
-// arbitrary entry is evicted per insert).
+// is an accelerator, not a correctness mechanism: a sharded, bounded
+// LRU (internal/memo) keeps contention low under parallel candidate
+// evaluation and stops a long-running argod from growing it without
+// limit.
 
 type cacheAddr [sha256.Size]byte
 
@@ -30,29 +32,19 @@ func cacheAddress(passName string, fp []byte) cacheAddr {
 	return a
 }
 
-const (
-	cacheShardBits = 5
-	cacheShards    = 1 << cacheShardBits
-	// cacheShardMax is the default bound on entries per shard. Snapshots
-	// can be whole cloned IR programs, so the bound is much smaller than
-	// the wcet bound cache's.
-	cacheShardMax = 128
-)
+// defaultCacheEntries bounds a cache built without an explicit size
+// (Global among them). Snapshots can be whole cloned IR programs, so
+// the bound is much smaller than the wcet bound cache's.
+const defaultCacheEntries = 4096
 
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[cacheAddr]any
-}
-
-// Cache is a sharded, bounded, content-addressed pass-result store.
-// Snapshots stored in it must be immutable (the Snapshot/Restore
-// contract deep-copies anything mutable). The zero value is ready to
-// use with the default per-shard bound.
+// Cache is a bounded, content-addressed pass-result store. Snapshots
+// stored in it must be immutable (the Snapshot/Restore contract
+// deep-copies anything mutable). The zero value is ready to use with
+// the default bound.
 type Cache struct {
-	shards [cacheShards]cacheShard
-	// maxPerShard overrides cacheShardMax when positive (set via
-	// NewCache or SetMax).
-	maxPerShard int
+	once    sync.Once
+	entries int // bound fixed by NewCache; 0: defaultCacheEntries
+	store   *memo.Cache[cacheAddr, any]
 
 	// fallback is an optional read-through tier consulted on a local
 	// miss (session-private caches fall back to Global). Stores dedupe
@@ -60,9 +52,7 @@ type Cache struct {
 	// again locally — the same content-addressed key yields the same
 	// immutable snapshot, so double-storing it only wastes memory and
 	// pressures the local bound into needless evictions.
-	fallback *Cache
-
-	evictions atomic.Int64
+	fallback  *Cache
 	deferrals atomic.Int64
 }
 
@@ -78,35 +68,18 @@ var Global = &Cache{}
 // use private caches so one session's artifact history cannot evict
 // another's, and evicting the session frees its snapshots.
 func NewCache(maxEntries int) *Cache {
-	c := &Cache{}
-	c.SetMax(maxEntries)
-	return c
+	return &Cache{entries: max(maxEntries, 0)}
 }
 
-// SetMax rebounds the cache to at most maxEntries snapshots across all
-// shards (maxEntries <= 0 restores the default bound). Shards already
-// above the new bound shrink lazily as inserts arrive.
-func (c *Cache) SetMax(maxEntries int) {
-	if maxEntries <= 0 {
-		c.maxPerShard = 0
-		return
-	}
-	per := maxEntries / cacheShards
-	if per < 1 {
-		per = 1
-	}
-	c.maxPerShard = per
-}
-
-func (c *Cache) shardMax() int {
-	if c.maxPerShard > 0 {
-		return c.maxPerShard
-	}
-	return cacheShardMax
-}
-
-func (c *Cache) shard(a cacheAddr) *cacheShard {
-	return &c.shards[a[0]>>(8-cacheShardBits)]
+func (c *Cache) mem() *memo.Cache[cacheAddr, any] {
+	c.once.Do(func() {
+		n := c.entries
+		if n == 0 {
+			n = defaultCacheEntries
+		}
+		c.store = memo.New[cacheAddr, any](n, func(a cacheAddr) byte { return a[0] })
+	})
+	return c.store
 }
 
 // SetFallback chains a read-through tier behind c: gets consult it on a
@@ -116,15 +89,8 @@ func (c *Cache) shard(a cacheAddr) *cacheShard {
 // restores deep-clone — the tiers can share entries freely.
 func (c *Cache) SetFallback(f *Cache) { c.fallback = f }
 
-// Deferrals returns how many requests were deferred to the fallback
-// tier (local misses it served, plus stores it made redundant).
-func (c *Cache) Deferrals() int64 { return c.deferrals.Load() }
-
 func (c *Cache) get(a cacheAddr) (any, bool) {
-	s := c.shard(a)
-	s.mu.RLock()
-	v, ok := s.m[a]
-	s.mu.RUnlock()
+	v, ok := c.mem().Get(a)
 	if !ok && c.fallback != nil {
 		if v, ok = c.fallback.get(a); ok {
 			c.deferrals.Add(1)
@@ -140,51 +106,15 @@ func (c *Cache) put(a cacheAddr, v any) {
 			return
 		}
 	}
-	s := c.shard(a)
-	max := c.shardMax()
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[cacheAddr]any)
-	}
-	if _, exists := s.m[a]; !exists {
-		// Evict arbitrary entries down to the bound. The cache is a pure
-		// accelerator: which snapshot survives never affects results,
-		// only which future executions hit.
-		for len(s.m) >= max {
-			for k := range s.m {
-				delete(s.m, k)
-				c.evictions.Add(1)
-				globalEvictions.Add(1)
-				break
-			}
-		}
-	}
-	s.m[a] = v
-	s.mu.Unlock()
+	c.mem().Put(a, v)
 }
 
 // Reset drops every cached pass result (tests and benchmarks measuring
 // the cold path). Eviction counters are preserved.
-func (c *Cache) Reset() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = nil
-		s.mu.Unlock()
-	}
-}
+func (c *Cache) Reset() { c.mem().Reset() }
 
 // Len returns the number of cached snapshots.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (c *Cache) Len() int { return c.mem().Len() }
 
 // CacheStats is a point-in-time snapshot of one cache's size counters
 // (hit/miss totals are process-wide, see CacheCounters).
@@ -199,16 +129,13 @@ type CacheStats struct {
 // Stats snapshots the cache's entry count, eviction total, and
 // fallback-deferral total.
 func (c *Cache) Stats() CacheStats {
-	return CacheStats{Entries: c.Len(), Evictions: c.evictions.Load(), Deferrals: c.deferrals.Load()}
+	st := c.mem().Stats()
+	return CacheStats{Entries: st.Entries, Evictions: st.Evictions, Deferrals: c.deferrals.Load()}
 }
 
-// Process-wide pass-cache growth observability: entries currently held
-// by the Global cache and cumulative evictions across all caches
-// (session-private caches included), served by argod's /debug/vars.
-var globalEvictions = expvar.NewInt("argo_pass_cache_evictions")
-
+// The Global cache's size and cumulative evictions, served by argod's
+// /debug/vars.
 func init() {
-	expvar.Publish("argo_pass_cache_entries", expvar.Func(func() any {
-		return Global.Len()
-	}))
+	expvar.Publish("argo_pass_cache_entries", expvar.Func(func() any { return Global.Len() }))
+	expvar.Publish("argo_pass_cache_evictions", expvar.Func(func() any { return Global.Stats().Evictions }))
 }

@@ -1,14 +1,16 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
+
+	"argo/internal/memo"
 )
 
 // Outcome classifies how a cache request was served.
@@ -64,34 +66,25 @@ type call struct {
 // Cache is a bounded, content-addressed result cache with singleflight
 // deduplication: Do computes the value for a key at most once at a time,
 // concurrent requests for the same key share the one execution, and
-// successful results are retained under LRU eviction.
+// successful results are retained under LRU eviction (internal/memo).
 type Cache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
-	calls   map[string]*call
+	// mu orders cache lookups against in-flight registration, so a
+	// request either sees a finished value or attaches to its call.
+	mu    sync.Mutex
+	store *memo.Cache[string, any]
+	calls map[string]*call
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	dedups    atomic.Int64
-	evictions atomic.Int64
-}
-
-type cacheEntry struct {
-	key string
-	val any
+	misses atomic.Int64
+	dedups atomic.Int64
 }
 
 // NewCache returns a cache retaining up to max entries (max <= 0 means
 // an unbounded cache).
 func NewCache(max int) *Cache {
-	return &Cache{
-		max:     max,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-		calls:   make(map[string]*call),
+	if max <= 0 {
+		max = math.MaxInt
 	}
+	return &Cache{store: memo.New[string, any](max, nil), calls: make(map[string]*call)}
 }
 
 // Do returns the cached value for key, or computes it with fn. If an
@@ -102,11 +95,8 @@ func NewCache(max int) *Cache {
 // running under the leader's context.
 func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (any, Outcome, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		val := el.Value.(*cacheEntry).val
+	if val, ok := c.store.Get(key); ok {
 		c.mu.Unlock()
-		c.hits.Add(1)
 		return val, OutcomeHit, nil
 	}
 	if cl, ok := c.calls[key]; ok {
@@ -129,60 +119,26 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (any
 	c.mu.Lock()
 	delete(c.calls, key)
 	if cl.err == nil {
-		c.insert(key, cl.val)
+		c.store.Put(key, cl.val)
 	}
 	c.mu.Unlock()
 	close(cl.done)
 	return cl.val, OutcomeMiss, cl.err
 }
 
-// insert adds a value under LRU eviction. Caller holds c.mu.
-func (c *Cache) insert(key string, val any) {
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).val = val
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, val: val})
-	if c.max > 0 && c.lru.Len() > c.max {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions.Add(1)
-	}
-}
-
 // Get returns the cached value for key without computing anything (a
-// peek — it still counts as a hit and refreshes the entry's LRU
-// position). The coordinator uses it to serve its forwarded-response
-// tier before routing.
-func (c *Cache) Get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.hits.Add(1)
-	return el.Value.(*cacheEntry).val, true
-}
+// peek — a hit still counts and refreshes the entry's LRU position).
+// The coordinator uses it to serve its forwarded-response tier before
+// routing.
+func (c *Cache) Get(key string) (any, bool) { return c.store.Get(key) }
 
 // Put stores val under key directly, bypassing singleflight (the
 // coordinator uses it to retain forwarded replica responses; the value
 // was computed remotely, so there is no local call to deduplicate).
-func (c *Cache) Put(key string, val any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insert(key, val)
-}
+func (c *Cache) Put(key string, val any) { c.store.Put(key, val) }
 
 // Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
+func (c *Cache) Len() int { return c.store.Len() }
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
@@ -193,13 +149,15 @@ type Stats struct {
 	Entries   int   `json:"entries"`
 }
 
-// Stats snapshots the cache counters.
+// Stats snapshots the cache counters. Misses counts computations, not
+// lookups: a lookup that attaches to an in-flight call is a dedup.
 func (c *Cache) Stats() Stats {
+	st := c.store.Stats()
 	return Stats{
-		Hits:      c.hits.Load(),
+		Hits:      st.Hits,
 		Misses:    c.misses.Load(),
 		Dedups:    c.dedups.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   c.Len(),
+		Evictions: st.Evictions,
+		Entries:   st.Entries,
 	}
 }

@@ -277,12 +277,12 @@ func (c *traceCache) storeVariant(h uint64, args [][]float64, traces [][]segment
 // vmSharedKey content-addresses the compiled bytecode of p for the
 // process-wide code cache: the whole-program IR fingerprint (variable
 // table with storage classes in registration order, entry body — equal
-// fingerprints imply structurally identical programs), the region
-// partition in task order, and the superinstruction mask the code would
-// be compiled under. CompileRegions reads nothing else, so equal keys
-// yield behaviourally identical compiled Programs; sharing the Program
-// value is safe because compiled code is immutable and the meter-facing
-// surface only reads per-variable data the fingerprint covers.
+// fingerprints imply structurally identical programs) and the region
+// partition in task order. CompileRegions reads nothing else, so equal
+// keys yield behaviourally identical compiled Programs; sharing the
+// Program value is safe because compiled code is immutable and the
+// meter-facing surface only reads per-variable data the fingerprint
+// covers.
 func vmSharedKey(p *par.Program, regions [][]ir.Stmt) vm.CacheKey {
 	h := sha256.New()
 	fp := wcet.FingerprintProgram(p.IR)
@@ -294,8 +294,6 @@ func vmSharedKey(p *par.Program, regions [][]ir.Stmt) vm.CacheKey {
 		rfp := wcet.FingerprintRegion(stmts)
 		h.Write(rfp[:])
 	}
-	binary.LittleEndian.PutUint64(b[:], uint64(vm.SuperMask()))
-	h.Write(b[:])
 	var k vm.CacheKey
 	h.Sum(k[:0])
 	return k

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"sync/atomic"
 
 	"argo/internal/fault"
 	"argo/internal/par"
@@ -13,77 +11,23 @@ import (
 // phase (phase 0). Both engines are observably identical — results,
 // traces, meter charges, and errors are bit-for-bit the same (enforced
 // by the differential tests and FuzzVMExec) — so the choice only affects
-// speed; it is deliberately excluded from result-cache keys.
+// speed. Run, RunContext and RunFaulty always use the VM; the tree
+// walker is reachable only through the *Interp variants, for the
+// differential tests and the benchmark ledger.
 type Interp int
 
 const (
-	// InterpAuto defers to the package default (SetInterp; the bytecode
-	// VM unless overridden).
-	InterpAuto Interp = iota
 	// InterpVM executes compiled register bytecode (internal/ir/vm),
 	// falling back to the tree walker if compilation fails.
-	InterpVM
+	InterpVM Interp = iota
 	// InterpTree executes the ir.Exec tree walker — the differential
-	// oracle and the -interp=tree escape hatch.
+	// oracle.
 	InterpTree
 )
 
-// String returns the flag spelling of the mode.
-func (i Interp) String() string {
-	switch i {
-	case InterpVM:
-		return "vm"
-	case InterpTree:
-		return "tree"
-	}
-	return "auto"
-}
-
-// ParseInterp parses a -interp flag value ("vm" or "tree").
-func ParseInterp(s string) (Interp, error) {
-	switch s {
-	case "vm":
-		return InterpVM, nil
-	case "tree":
-		return InterpTree, nil
-	case "auto", "":
-		return InterpAuto, nil
-	}
-	return InterpAuto, fmt.Errorf("sim: unknown interpreter %q (want vm or tree)", s)
-}
-
-// defaultInterp is the process-wide engine used when a run passes
-// InterpAuto; the zero value means InterpVM.
-var defaultInterp atomic.Int32
-
-// SetInterp sets the process-wide default execution engine (what
-// InterpAuto resolves to). Passing InterpAuto restores the built-in
-// default (the VM).
-func SetInterp(i Interp) { defaultInterp.Store(int32(i)) }
-
-// DefaultInterp reports what InterpAuto currently resolves to.
-func DefaultInterp() Interp {
-	if d := Interp(defaultInterp.Load()); d == InterpVM || d == InterpTree {
-		return d
-	}
-	return InterpVM
-}
-
-func (i Interp) resolve() Interp {
-	if i == InterpVM || i == InterpTree {
-		return i
-	}
-	return DefaultInterp()
-}
-
 // RunInterp is Run with an explicit execution engine.
 func RunInterp(p *par.Program, args [][]float64, interp Interp) (*Report, error) {
-	return RunContextInterp(context.Background(), p, args, interp)
-}
-
-// RunContextInterp is RunContext with an explicit execution engine.
-func RunContextInterp(ctx context.Context, p *par.Program, args [][]float64, interp Interp) (*Report, error) {
-	return run(ctx, p, args, nil, interp)
+	return run(context.Background(), p, args, nil, interp)
 }
 
 // RunFaultyInterp is RunFaulty with an explicit execution engine.

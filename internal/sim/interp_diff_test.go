@@ -19,34 +19,11 @@ import (
 	"argo/internal/usecases"
 )
 
-func TestInterpParse(t *testing.T) {
-	cases := []struct {
-		in   string
-		want sim.Interp
-		err  bool
-	}{
-		{"vm", sim.InterpVM, false},
-		{"tree", sim.InterpTree, false},
-		{"auto", sim.InterpAuto, false},
-		{"", sim.InterpAuto, false},
-		{"jit", sim.InterpAuto, true},
-	}
-	for _, c := range cases {
-		got, err := sim.ParseInterp(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Errorf("ParseInterp(%q) = %v, %v; want %v, err=%v", c.in, got, err, c.want, c.err)
-		}
-	}
-	if sim.DefaultInterp() != sim.InterpVM {
-		t.Errorf("default interpreter = %v, want vm", sim.DefaultInterp())
-	}
-}
-
 // TestVMBitIdenticalToGolden: the VM engine and the tree engine must both
 // reproduce the golden fingerprints for every builtin platform × use case
 // × seed. Cross-engine identity over the full matrix plus identity to the
 // pre-VM goldens pins results, task timings, bus waits and DMA phases
-// bit-for-bit under both -interp modes.
+// bit-for-bit under both engines.
 func TestVMBitIdenticalToGolden(t *testing.T) {
 	golden := loadGolden(t)
 	for _, pname := range adl.BuiltinNames() {

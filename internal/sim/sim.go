@@ -171,7 +171,7 @@ func Run(p *par.Program, args [][]float64) (*Report, error) {
 // cancelled or expired context aborts the simulation and returns
 // ctx.Err().
 func RunContext(ctx context.Context, p *par.Program, args [][]float64) (*Report, error) {
-	return run(ctx, p, args, nil, InterpAuto)
+	return run(ctx, p, args, nil, InterpVM)
 }
 
 // RunFaulty simulates the parallel program under deterministic fault
@@ -183,7 +183,7 @@ func RunFaulty(ctx context.Context, p *par.Program, args [][]float64, spec fault
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return run(ctx, p, args, fault.New(spec), InterpAuto)
+	return run(ctx, p, args, fault.New(spec), InterpVM)
 }
 
 func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injector, interp Interp) (*Report, error) {
@@ -199,12 +199,12 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 	// un-metered (the fast interpreter path); the rest are re-metered.
 	//
 	// The execution engine is the compiled bytecode VM by default, with
-	// the tree walker as the oracle/escape hatch — both produce the same
+	// the tree walker as the oracle — both produce the same
 	// traces, results, and errors, so the trace cache is shared between
 	// modes.
 	cache := cacheFor(p)
 	var cp *vm.Program
-	if interp.resolve() == InterpVM {
+	if interp == InterpVM {
 		cp = cache.vmProgram(p)
 	}
 

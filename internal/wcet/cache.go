@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"argo/internal/ir"
+	"argo/internal/memo"
 )
 
 // Code-level bounds are pure functions of (region content, cost model):
@@ -18,9 +19,9 @@ import (
 // mostly-identical task bodies dozens of times, and only regions a
 // transform (or a storage demotion) actually touched miss the cache.
 //
-// Cache effectiveness is observable via the process-wide expvar counters
-// argo_wcet_cache_hits / argo_wcet_cache_misses (served by argod's
-// /debug/vars).
+// Cache effectiveness is observable via the process-wide expvars
+// argo_wcet_cache_hits / argo_wcet_cache_misses / argo_wcet_cache_entries
+// (served by argod's /debug/vars).
 
 // Fingerprint content-addresses a statement region: two regions with
 // equal fingerprints are structurally identical, reference variables
@@ -28,48 +29,31 @@ import (
 // identical code-level analysis results for any cost model.
 type Fingerprint [sha256.Size]byte
 
-var (
-	cacheHits   = expvar.NewInt("argo_wcet_cache_hits")
-	cacheMisses = expvar.NewInt("argo_wcet_cache_misses")
-)
-
-// cacheKey includes the engine identity: two engines may legitimately
-// produce different bounds for the same (region, model), so no cache
-// tier may ever serve one engine's bound as another's.
-type cacheKey struct {
-	fp     Fingerprint
-	m      CostModel
-	engine string
+// boundKey content-addresses one analysis: the region fingerprint, the
+// full cost model, and the engine identity — two engines may
+// legitimately produce different bounds for the same (region, model),
+// so no cache tier may ever serve one engine's bound as another's.
+// Hashing the triple keeps the cache key at 32 bytes, which is most of
+// an entry's footprint.
+func boundKey(fp Fingerprint, m CostModel, engine string) Fingerprint {
+	var buf [96]byte
+	b := append(buf[:0], fp[:]...)
+	b = binary.AppendVarint(b, int64(m.OpCycles))
+	b = binary.AppendVarint(b, int64(m.SPMLatency))
+	b = binary.AppendVarint(b, int64(m.SharedLatency))
+	b = append(b, engine...)
+	return sha256.Sum256(b)
 }
 
-// The cache is sharded to keep contention low when parallel candidate
-// evaluation annotates task graphs concurrently, and bounded so a
-// long-running argod cannot grow it without limit (a full shard is
-// simply reset: the cache is an accelerator, not a correctness
-// mechanism).
-const (
-	cacheShardBits = 6
-	cacheShards    = 1 << cacheShardBits
-	cacheShardMax  = 4096
-)
-
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[cacheKey]Report
-}
-
-var boundCache [cacheShards]cacheShard
+// boundCache is sharded to keep contention low when parallel candidate
+// evaluation annotates task graphs concurrently, and bounded (LRU) so a
+// long-running argod cannot grow it without limit: the cache is an
+// accelerator, not a correctness mechanism.
+var boundCache = memo.New[Fingerprint, Report](64*4096, func(k Fingerprint) byte { return k[0] })
 
 // ResetCache drops all memoized bounds and is intended for tests and
 // benchmarks that measure the cold path.
-func ResetCache() {
-	for i := range boundCache {
-		s := &boundCache[i]
-		s.mu.Lock()
-		s.m = nil
-		s.mu.Unlock()
-	}
-}
+func ResetCache() { boundCache.Reset() }
 
 // --- region serialization ---------------------------------------------------
 
@@ -234,28 +218,24 @@ func AnalyzeFP(e Engine, fp Fingerprint, stmts []ir.Stmt, m CostModel) Report {
 	if e == nil {
 		e = IPETEngine
 	}
-	key := cacheKey{fp: fp, m: m, engine: e.Name()}
-	shard := &boundCache[fp[0]>>(8-cacheShardBits)]
-	shard.mu.RLock()
-	rep, ok := shard.m[key]
-	shard.mu.RUnlock()
-	if ok {
-		cacheHits.Add(1)
+	key := boundKey(fp, m, e.Name())
+	if rep, ok := boundCache.Get(key); ok {
 		return rep
 	}
-	cacheMisses.Add(1)
-	rep = e.Analyze(stmts, m)
-	shard.mu.Lock()
-	if shard.m == nil || len(shard.m) >= cacheShardMax {
-		shard.m = make(map[cacheKey]Report)
-	}
-	shard.m[key] = rep
-	shard.mu.Unlock()
+	rep := e.Analyze(stmts, m)
+	boundCache.Put(key, rep)
 	return rep
 }
 
 // CacheCounters returns the cumulative hit/miss counts of the bound
 // cache (also exported as expvars argo_wcet_cache_{hits,misses}).
 func CacheCounters() (hits, misses int64) {
-	return cacheHits.Value(), cacheMisses.Value()
+	st := boundCache.Stats()
+	return st.Hits, st.Misses
+}
+
+func init() {
+	expvar.Publish("argo_wcet_cache_hits", expvar.Func(func() any { return boundCache.Stats().Hits }))
+	expvar.Publish("argo_wcet_cache_misses", expvar.Func(func() any { return boundCache.Stats().Misses }))
+	expvar.Publish("argo_wcet_cache_entries", expvar.Func(func() any { return boundCache.Len() }))
 }
