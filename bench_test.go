@@ -525,8 +525,8 @@ func benchSimulate(b *testing.B, interp sim.Interp) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Rotate the input seed so the steady state is the production
-		// shape: fresh inputs per run, segment traces warm in the cache.
+		// Cycle over eight input seeds: traces of the input-invariant
+		// tasks come warm from the cache, every other task is metered.
 		if _, err := sim.RunInterp(art.Parallel, u.Inputs(int64(i%8)), interp); err != nil {
 			b.Fatal(err)
 		}

@@ -76,7 +76,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 		sessionTTL  = fs.Duration("session-ttl", argo.DefaultSessionTTL, "idle expiry of interactive sessions")
 		wcetEngine  = fs.String("wcet-engine", "", "code-level WCET engine: ipet (default), mc, or both (cross-checked)")
 		peers       = fs.String("peers", "", "comma-separated replica base URLs; non-empty enables coordinator mode")
-		coordinator = fs.Bool("coordinator", false, "run as cluster coordinator (requires -peers; implied by -peers)")
 		maxPerRep   = fs.Int("max-per-replica", 0, "bounded-load fallback: max in-flight forwards per replica (0: unbounded)")
 		fwdTimeout  = fs.Duration("forward-timeout", 30*time.Second, "per-attempt budget for forwarded cluster requests")
 	)
@@ -103,10 +102,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 	peerList, err := parsePeers(*peers)
 	if err != nil {
 		fmt.Fprintf(stderr, "argod: %v\n", err)
-		return nil, 2
-	}
-	if *coordinator && len(peerList) == 0 {
-		fmt.Fprintln(stderr, "argod: -coordinator requires -peers")
 		return nil, 2
 	}
 	if *maxPerRep < 0 || *fwdTimeout <= 0 {

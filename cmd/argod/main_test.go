@@ -53,7 +53,7 @@ func TestParseFlagsWCETEngine(t *testing.T) {
 
 func TestParseFlagsClusterMode(t *testing.T) {
 	cfg, code, errb := parseCLI(t,
-		"-peers", " http://n1:8321, http://n2:8321/ ,", "-coordinator",
+		"-peers", " http://n1:8321, http://n2:8321/ ,",
 		"-max-per-replica", "3", "-forward-timeout", "5s")
 	if cfg == nil || code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, errb)
@@ -67,7 +67,7 @@ func TestParseFlagsClusterMode(t *testing.T) {
 	}
 	// -peers alone implies coordinator mode; no peers means single mode.
 	if cfg, code, _ = parseCLI(t, "-peers", "http://n1:8321"); cfg == nil || code != 0 || len(cfg.service.Peers) != 1 {
-		t.Errorf("-peers without -coordinator rejected")
+		t.Errorf("-peers alone rejected")
 	}
 	if cfg, code, _ = parseCLI(t); cfg == nil || code != 0 || cfg.service.Peers != nil {
 		t.Errorf("default config has peers: %+v", cfg)
@@ -76,7 +76,6 @@ func TestParseFlagsClusterMode(t *testing.T) {
 
 func TestParseFlagsClusterUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-coordinator"},      // coordinator without peers
 		{"-peers", "n1:8321"}, // not an http(s) URL
 		{"-peers", " , ,"},    // no usable URLs
 		{"-peers", "http://n1", "-max-per-replica", "-1"}, // negative bound

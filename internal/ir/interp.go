@@ -333,11 +333,7 @@ func (ex *Exec) stmt(s Stmt) (execCtrl, error) {
 			return execNone, err
 		}
 		if ex.meter != nil {
-			if st.units > 0 {
-				ex.ops(int(st.units))
-			} else {
-				ex.ops(ExprOpUnits(st.Src) + 1)
-			}
+			ex.ops(ExprOpUnits(st.Src) + 1)
 		}
 		ex.setScalar(st.Dst, v)
 		return execNone, nil
@@ -351,15 +347,11 @@ func (ex *Exec) stmt(s Stmt) (execCtrl, error) {
 			return execNone, err
 		}
 		if ex.meter != nil {
-			if st.units > 0 {
-				ex.ops(int(st.units))
-			} else {
-				units := 1 + ExprOpUnits(st.Src)
-				for _, ix := range st.Idx {
-					units += ExprOpUnits(ix)
-				}
-				ex.ops(units)
+			units := 1 + ExprOpUnits(st.Src)
+			for _, ix := range st.Idx {
+				units += ExprOpUnits(ix)
 			}
+			ex.ops(units)
 		}
 		buf := ex.buffer(st.Dst)
 		buf[off] = v
@@ -379,11 +371,7 @@ func (ex *Exec) stmt(s Stmt) (execCtrl, error) {
 				return execNone, err
 			}
 			if ex.meter != nil {
-				if st.units > 0 {
-					ex.ops(int(st.units))
-				} else {
-					ex.ops(ExprOpUnits(st.Cond) + 1)
-				}
+				ex.ops(ExprOpUnits(st.Cond) + 1)
 			}
 			if c == 0 {
 				return execNone, nil
@@ -405,11 +393,7 @@ func (ex *Exec) stmt(s Stmt) (execCtrl, error) {
 			return execNone, err
 		}
 		if ex.meter != nil {
-			if st.units > 0 {
-				ex.ops(int(st.units))
-			} else {
-				ex.ops(ExprOpUnits(st.Cond) + 1)
-			}
+			ex.ops(ExprOpUnits(st.Cond) + 1)
 		}
 		if c != 0 {
 			return ex.block(st.Then)
@@ -437,11 +421,7 @@ func (ex *Exec) forLoop(st *For) (execCtrl, error) {
 		return execNone, err
 	}
 	if ex.meter != nil {
-		if st.units > 0 {
-			ex.ops(int(st.units))
-		} else {
-			ex.ops(ExprOpUnits(st.Lo) + ExprOpUnits(st.Hi) + ExprOpUnits(st.Step))
-		}
+		ex.ops(ExprOpUnits(st.Lo) + ExprOpUnits(st.Hi) + ExprOpUnits(st.Step))
 	}
 	if step == 0 {
 		return execNone, fmt.Errorf("ir: for loop with zero step")

@@ -22,7 +22,6 @@ package ir
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Storage classifies where a variable lives on the target.
@@ -197,8 +196,6 @@ type Stmt interface {
 type AssignScalar struct {
 	Dst *Var
 	Src Expr
-
-	units int32 // memoized per-execution ALU charge (0 = unannotated)
 }
 
 // Store writes one matrix element; Idx as in Index.
@@ -206,8 +203,6 @@ type Store struct {
 	Dst *Var
 	Idx []Expr
 	Src Expr
-
-	units int32 // memoized per-execution ALU charge (0 = unannotated)
 }
 
 // For is a counted loop. Lo/Step/Hi are scalar expressions evaluated once
@@ -220,8 +215,6 @@ type For struct {
 	Body         []Stmt
 	// Label optionally names the loop for reports and transformations.
 	Label string
-
-	units int32 // memoized loop-entry ALU charge (0 = unannotated)
 }
 
 // While is a bounded condition-controlled loop; Bound comes from the
@@ -230,8 +223,6 @@ type While struct {
 	Cond  Expr
 	Bound int
 	Body  []Stmt
-
-	units int32 // memoized per-check ALU charge (0 = unannotated)
 }
 
 // If branches on a scalar condition (nonzero = true).
@@ -239,8 +230,6 @@ type If struct {
 	Cond Expr
 	Then []Stmt
 	Else []Stmt
-
-	units int32 // memoized per-check ALU charge (0 = unannotated)
 }
 
 // Break exits the innermost enclosing loop.
@@ -272,48 +261,6 @@ type Program struct {
 	Vars  []*Var
 
 	nextTemp int
-	// unitsDone records that AnnotateOpUnits already ran (guarded by
-	// annotateMu; a plain bool keeps Program copyable by value).
-	unitsDone bool
-}
-
-// annotateMu serializes AnnotateOpUnits across programs; the one-shot
-// walk is far off any hot path.
-var annotateMu sync.Mutex
-
-// AnnotateOpUnits precomputes the per-execution ALU charge of every
-// statement in the program (see ExprOpUnits), so metered interpretation
-// reads a field instead of walking expression trees. Call it only once
-// the program is final — structural rewrites after annotation would
-// leave stale charges. Repeated and concurrent calls are safe, and the
-// mutex publication makes the annotations visible to every caller that
-// passed through it; clones start unannotated.
-func (p *Program) AnnotateOpUnits() {
-	annotateMu.Lock()
-	defer annotateMu.Unlock()
-	if p.unitsDone {
-		return
-	}
-	p.unitsDone = true
-	WalkStmts(p.Entry.Body, func(s Stmt) bool {
-		switch st := s.(type) {
-		case *AssignScalar:
-			st.units = int32(ExprOpUnits(st.Src)) + 1
-		case *Store:
-			u := 1 + ExprOpUnits(st.Src)
-			for _, ix := range st.Idx {
-				u += ExprOpUnits(ix)
-			}
-			st.units = int32(u)
-		case *While:
-			st.units = int32(ExprOpUnits(st.Cond)) + 1
-		case *If:
-			st.units = int32(ExprOpUnits(st.Cond)) + 1
-		case *For:
-			st.units = int32(ExprOpUnits(st.Lo) + ExprOpUnits(st.Hi) + ExprOpUnits(st.Step))
-		}
-		return true
-	})
 }
 
 // NewVar registers a new variable in the program. Names must be unique;

@@ -41,8 +41,9 @@ function r = f(a)
   m = zeros(2, 2)
   r = m(1, 1) + g(a) + abs(a)
 endfunction`)
-	if errs := Check(p, CheckBasic); len(errs) != 0 {
-		t.Fatalf("errors: %v", errs)
+	c := check(p, CheckBasic)
+	if len(c.errs) != 0 {
+		t.Fatalf("errors: %v", c.errs)
 	}
 	rhs := p.Func("f").Body[1].(*AssignStmt).RHS
 	var kinds []CallKind
@@ -50,7 +51,7 @@ endfunction`)
 	walk = func(e Expr) {
 		switch x := e.(type) {
 		case *CallExpr:
-			kinds = append(kinds, x.Kind)
+			kinds = append(kinds, c.kinds[x])
 		case *BinExpr:
 			walk(x.X)
 			walk(x.Y)
@@ -182,12 +183,13 @@ function r = f(x)
   sum = [10, 20, 30]
   r = sum(2)
 endfunction`)
-	if errs := Check(p, CheckBasic); len(errs) != 0 {
-		t.Fatalf("errs: %v", errs)
+	c := check(p, CheckBasic)
+	if len(c.errs) != 0 {
+		t.Fatalf("errs: %v", c.errs)
 	}
 	rhs := p.Func("f").Body[1].(*AssignStmt).RHS.(*CallExpr)
-	if rhs.Kind != CallIndex {
-		t.Fatalf("kind = %d, want CallIndex", rhs.Kind)
+	if k := c.kinds[rhs]; k != CallIndex {
+		t.Fatalf("kind = %d, want CallIndex", k)
 	}
 	// And the interpreter agrees.
 	out, err := NewInterp(p).Call("f", Scalar(0))

@@ -37,7 +37,8 @@ func TestTraceCacheWarmRunsIdentical(t *testing.T) {
 
 // TestTraceCacheInvariance checks the gate itself: the straight-line
 // pipeline caches every task, while the branchy kernel (data-dependent
-// if) caches none — and cached traces equal freshly metered ones.
+// if) has variant tasks that are never published — and published traces
+// equal freshly metered ones.
 func TestTraceCacheInvariance(t *testing.T) {
 	platform := adl.XentiumPlatform(3)
 	spec := ir.ArgSpec{Rows: 8, Cols: 8}
@@ -61,11 +62,28 @@ func TestTraceCacheInvariance(t *testing.T) {
 	if !anyVariant {
 		t.Error("branchy program: want at least one variant task")
 	}
+	// Publication keeps exactly the invariant tasks' traces.
+	if _, err := Run(b, [][]float64{randImg(64, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if bpub := cb.traces.Load(); bpub == nil {
+		t.Error("branchy program: first complete run published no traces")
+	} else {
+		for tid, tr := range *bpub {
+			if (tr != nil) != cb.invariant[tid] {
+				t.Errorf("branchy task %d: published=%v, invariant=%v", tid, tr != nil, cb.invariant[tid])
+			}
+		}
+	}
 
 	// Populate the cache, then independently re-meter every invariant
 	// task and compare segment for segment.
 	if _, err := Run(p, [][]float64{randImg(64, 1)}); err != nil {
 		t.Fatal(err)
+	}
+	pub := c.traces.Load()
+	if pub == nil {
+		t.Fatal("first complete run published no traces")
 	}
 	ex := ir.NewExec(p.IR, nil)
 	if err := ex.Init([][]float64{randImg(64, 2)}); err != nil {
@@ -78,7 +96,7 @@ func TestTraceCacheInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		fresh := tm.finish()
-		if cached := c.traces[n.ID]; cached != nil && !reflect.DeepEqual(cached, fresh) {
+		if cached := (*pub)[n.ID]; !reflect.DeepEqual(cached, fresh) {
 			t.Errorf("task %d: cached trace differs from fresh metering\n cached: %v\n  fresh: %v", n.ID, cached, fresh)
 		}
 	}

@@ -107,73 +107,6 @@ func TestVMFaultyBitIdenticalAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestVariantTraceMemo: repeat VM runs over a bounded input set must
-// replay memoized variant-task traces (memo hits move) while staying
-// bit-identical to the first metered run and to the tree oracle — with
-// and without fault injection, which consumes the memoized traces.
-func TestVariantTraceMemo(t *testing.T) {
-	u := usecases.ByName("polka")
-	if u == nil {
-		t.Fatal("polka use case missing")
-	}
-	p, err := u.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err := core.Compile(p, core.DefaultOptions(u.Entry, u.Args, adl.Builtin("xentium4")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h0, m0 := sim.TraceMemoCounters()
-	want := make(map[int64]string)
-	// Round 1 records input hashes (admission filter), round 2 stores
-	// full entries, rounds 3-4 hit.
-	for round := 0; round < 4; round++ {
-		for seed := int64(1); seed <= 3; seed++ {
-			rep, err := sim.RunInterp(art.Parallel, u.Inputs(seed), sim.InterpVM)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := fingerprint(rep)
-			if round == 0 {
-				want[seed] = got
-			} else if got != want[seed] {
-				t.Errorf("seed %d round %d: memoized run drifted\n got  %s\n want %s", seed, round, got, want[seed])
-			}
-		}
-	}
-	h1, m1 := sim.TraceMemoCounters()
-	if h1-h0 < 6 {
-		t.Errorf("memo hits moved by %d, want >= 6 (rounds 3-4 must hit)", h1-h0)
-	}
-	if m1-m0 < 6 {
-		t.Errorf("memo misses moved by %d, want >= 6 (rounds 1-2 must miss)", m1-m0)
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		rep, err := sim.RunInterp(art.Parallel, u.Inputs(seed), sim.InterpTree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fingerprint(rep); got != want[seed] {
-			t.Errorf("seed %d: tree oracle differs from memoized VM run\n vm   %s\n tree %s", seed, want[seed], got)
-		}
-	}
-	// Fault injection inflates and jitters the traces phase 0 hands over;
-	// a memo-hit input must produce the same injected run as the oracle.
-	spec := fault.Spec{Seed: 7, AccessJitter: 0.5, ExecInflation: 0.5}
-	vmRep, err := sim.RunFaultyInterp(context.Background(), art.Parallel, u.Inputs(2), spec, sim.InterpVM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	treeRep, err := sim.RunFaultyInterp(context.Background(), art.Parallel, u.Inputs(2), spec, sim.InterpTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := fingerprint(vmRep), fingerprint(treeRep); a != b {
-		t.Errorf("faulty memo-hit run differs from oracle\n vm   %s\n tree %s", a, b)
-	}
-}
-
 // TestVMCountersMove sanity-checks the expvar instrumentation: a VM run
 // registers compile and cache activity.
 func TestVMCountersMove(t *testing.T) {

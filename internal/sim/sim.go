@@ -194,9 +194,10 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 	}
 
 	// Phase 0: functional execution in dependence (program) order to
-	// compute results and extract each task's isolated trace. Tasks with
-	// an input-invariant trace replay the program's cached trace and run
-	// un-metered (the fast interpreter path); the rest are re-metered.
+	// compute results and extract each task's isolated trace. Once a run
+	// has published the program's invariant traces, tasks with an
+	// input-invariant trace replay them and run un-metered (the fast
+	// interpreter path); every other task is metered.
 	//
 	// The execution engine is the compiled bytecode VM by default, with
 	// the tree walker as the oracle — both produce the same
@@ -212,87 +213,65 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 	defer runPool.Put(rs)
 	rs.prepare(p, cp)
 
-	traces := rs.traces
-	// Trace-variant tasks are re-executed and re-metered per run —
-	// unless this exact input set ran before in VM mode. Execution is
-	// deterministic in the entry inputs, so a memo hit supplies both the
-	// variant traces and the results; with the invariant traces coming
-	// from the trace cache, the whole phase needs no execution at all.
-	var memoTraces [][]segment
-	var memoResults [][]float64
-	var memoKey uint64
+	var initErr error
 	if cp != nil {
-		memoTraces, memoResults, memoKey = cache.lookupVariant(args)
-	}
-	if memoResults != nil {
-		for _, n := range p.Graph.Nodes {
-			tr := memoTraces[n.ID]
-			if tr == nil {
-				tr = cache.lookup(n.ID)
-			}
-			if tr == nil {
-				// An invariant trace not yet published (only possible
-				// under unusual interleavings): execute normally.
-				memoResults = nil
-				break
-			}
-			traces[n.ID] = tr
-		}
-	}
-	if memoResults != nil {
-		rep.Results = cloneResults(memoResults)
+		initErr = rs.vm.Init(args)
 	} else {
-		var initErr error
-		if cp != nil {
-			initErr = rs.vm.Init(args)
+		initErr = rs.ex.Init(args)
+	}
+	if initErr != nil {
+		return nil, initErr
+	}
+	traces := rs.traces
+	var cached [][]segment
+	if pub := cache.traces.Load(); pub != nil {
+		cached = *pub
+	}
+	var tm traceMeter
+	var hits int64
+	for _, n := range p.Graph.Nodes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var meter ir.Meter
+		var tr []segment
+		if cached != nil {
+			tr = cached[n.ID]
+		}
+		if tr == nil {
+			core := p.Schedule.Placements[n.ID].Core
+			tm.model = wcet.ModelFor(p.Platform, core)
+			meter = &tm
 		} else {
-			initErr = rs.ex.Init(args)
+			hits++
 		}
-		if initErr != nil {
-			return nil, initErr
-		}
-		var tm traceMeter
-		for _, n := range p.Graph.Nodes {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			var meter ir.Meter
-			tr := cache.lookup(n.ID)
-			if tr == nil && memoTraces != nil {
-				tr = memoTraces[n.ID]
-			}
-			if tr == nil {
-				core := p.Schedule.Placements[n.ID].Core
-				tm.model = wcet.ModelFor(p.Platform, core)
-				meter = &tm
-			}
-			var err error
-			if cp != nil {
-				rs.vm.SetMeter(meter)
-				err = rs.vm.ExecRegion(n.ID)
-			} else {
-				rs.ex.SetMeter(meter)
-				err = rs.ex.ExecBlock(n.Stmts)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("sim: task %d: %v", n.ID, err)
-			}
-			if tr == nil {
-				tr = tm.finish()
-				cache.store(n.ID, tr)
-			}
-			traces[n.ID] = tr
-		}
+		var err error
 		if cp != nil {
-			rs.vm.SetMeter(nil)
-			rep.Results = rs.vm.Results()
+			rs.vm.SetMeter(meter)
+			err = rs.vm.ExecRegion(n.ID)
 		} else {
-			rs.ex.SetMeter(nil)
-			rep.Results = rs.ex.Results()
+			rs.ex.SetMeter(meter)
+			err = rs.ex.ExecBlock(n.Stmts)
 		}
-		if cp != nil && memoTraces == nil {
-			cache.storeVariant(memoKey, args, traces, rep.Results)
+		if err != nil {
+			return nil, fmt.Errorf("sim: task %d: %v", n.ID, err)
 		}
+		if tr == nil {
+			tr = tm.finish()
+		}
+		traces[n.ID] = tr
+	}
+	traceCacheHits.Add(hits)
+	traceCacheMisses.Add(int64(len(p.Graph.Nodes)) - hits)
+	if cached == nil {
+		cache.publish(traces)
+	}
+	if cp != nil {
+		rs.vm.SetMeter(nil)
+		rep.Results = rs.vm.Results()
+	} else {
+		rs.ex.SetMeter(nil)
+		rep.Results = rs.ex.Results()
 	}
 
 	// Fault injection: inflate task compute time within the code-level
@@ -550,41 +529,4 @@ func CheckAgainstBounds(p *par.Program, rep *Report) error {
 		return fmt.Errorf("sim: makespan %d exceeds total bound %d", rep.Makespan, p.BoundMakespan())
 	}
 	return nil
-}
-
-// PeriodicReport summarizes a back-to-back frame stream execution.
-type PeriodicReport struct {
-	Frames    int
-	Period    int64
-	Makespans []int64
-	// Overruns counts frames whose makespan exceeded the period (a
-	// deadline miss in a frame-based deployment).
-	Overruns   int
-	WorstFrame int64
-}
-
-// RunPeriodic executes `frames` activations of the parallel program, one
-// per period, with per-frame inputs from inputsFor. Since the program is
-// time-triggered and stateless across activations, frames are
-// independent; the report captures the deadline behaviour of the stream
-// (the deployment model of internal/rt).
-func RunPeriodic(p *par.Program, period int64, frames int, inputsFor func(frame int) [][]float64) (*PeriodicReport, error) {
-	rep := &PeriodicReport{Frames: frames, Period: period}
-	for f := 0; f < frames; f++ {
-		r, err := Run(p, inputsFor(f))
-		if err != nil {
-			return nil, fmt.Errorf("sim: frame %d: %v", f, err)
-		}
-		if err := CheckAgainstBounds(p, r); err != nil {
-			return nil, fmt.Errorf("sim: frame %d: %v", f, err)
-		}
-		rep.Makespans = append(rep.Makespans, r.Makespan)
-		if r.Makespan > rep.WorstFrame {
-			rep.WorstFrame = r.Makespan
-		}
-		if r.Makespan > period {
-			rep.Overruns++
-		}
-	}
-	return rep, nil
 }

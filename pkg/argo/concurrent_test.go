@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -63,7 +64,9 @@ func TestConcurrentCompile(t *testing.T) {
 
 // TestConcurrentSimulate runs the simulator over one shared *Artifacts
 // from many goroutines: simulation must only read the compiled program,
-// and every run must stay within the static bound.
+// and every run must stay within the static bound. The runs start cold,
+// so they race to publish the program's trace cache; each report must
+// equal the same seed simulated on a separately compiled program.
 func TestConcurrentSimulate(t *testing.T) {
 	uc := argo.UseCaseByName("weaa")
 	art, err := argo.CompileUseCase(uc, argo.Platform("xentium4"))
@@ -72,11 +75,13 @@ func TestConcurrentSimulate(t *testing.T) {
 	}
 	const goroutines = 8
 	var wg sync.WaitGroup
+	reps := make([]*argo.SimReport, goroutines)
 	errc := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(g int) {
 			defer wg.Done()
+			seed := int64(g + 1)
 			rep, err := argo.Simulate(art, uc.Inputs(seed))
 			if err != nil {
 				errc <- fmt.Errorf("seed %d: %v", seed, err)
@@ -85,12 +90,33 @@ func TestConcurrentSimulate(t *testing.T) {
 			if err := argo.CheckBounds(art, rep); err != nil {
 				errc <- fmt.Errorf("seed %d: %v", seed, err)
 			}
-		}(int64(g + 1))
+			reps[g] = rep
+		}(g)
 	}
 	wg.Wait()
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+
+	ref, err := argo.CompileUseCase(uc, argo.Platform("xentium4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Parallel == art.Parallel {
+		t.Fatal("reference compile shares the simulated program")
+	}
+	for g, rep := range reps {
+		if rep == nil {
+			continue
+		}
+		want, err := argo.Simulate(ref, uc.Inputs(int64(g+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep, want) {
+			t.Errorf("seed %d: concurrent cold-start report differs from the reference\n got: %+v\nwant: %+v", g+1, rep, want)
+		}
 	}
 }
 
