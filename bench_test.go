@@ -560,9 +560,7 @@ endfunction`
 	return prog
 }
 
-// BenchmarkIPET measures the pooled, warm-started IPET path: solver
-// workspaces are reused across calls, so steady-state allocations stay
-// near zero.
+// BenchmarkIPET measures one IPET/ILP analysis of a nested-loop region.
 func BenchmarkIPET(b *testing.B) {
 	prog := ipetBenchProgram(b)
 	m := wcet.ModelFor(adl.XentiumPlatform(1), 0)
@@ -575,23 +573,9 @@ func BenchmarkIPET(b *testing.B) {
 	}
 }
 
-// BenchmarkIPETCold is the same analysis on fresh solver state every
-// call — the allocation baseline BenchmarkIPET is compared against.
-func BenchmarkIPETCold(b *testing.B) {
-	prog := ipetBenchProgram(b)
-	m := wcet.ModelFor(adl.XentiumPlatform(1), 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wcet.IPETCold(prog.Entry.Body, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// mipBenchProblem is a correlated multi-constraint 0/1 knapsack the MIP
-// benchmarks share: value ≈ weight makes the LP relaxation fractional
-// along many branches, so branch-and-bound explores a real tree.
+// mipBenchProblem is a correlated multi-constraint 0/1 knapsack: value ≈
+// weight makes the LP relaxation fractional along many branches, so
+// branch-and-bound explores a real tree.
 func mipBenchProblem() *lp.Problem {
 	rng := rand.New(rand.NewSource(7))
 	n, m := 14, 4
@@ -621,27 +605,13 @@ func mipBenchProblem() *lp.Problem {
 	return p
 }
 
-// BenchmarkSolveMIP measures branch-and-bound with dual-simplex
-// warm starts on pooled workspaces.
+// BenchmarkSolveMIP measures branch-and-bound on the multi-knapsack.
 func BenchmarkSolveMIP(b *testing.B) {
 	p := mipBenchProblem()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if s := lp.SolveMIP(p); s.Status != lp.Optimal {
-			b.Fatal(s.Status)
-		}
-	}
-}
-
-// BenchmarkSolveMIPReference is the naive rebuild-and-resolve
-// branch-and-bound baseline.
-func BenchmarkSolveMIPReference(b *testing.B) {
-	p := mipBenchProblem()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s := lp.SolveMIPReference(p); s.Status != lp.Optimal {
 			b.Fatal(s.Status)
 		}
 	}

@@ -550,10 +550,6 @@ func cloneStmtRemap(s Stmt, mv func(*Var) *Var) Stmt {
 	panic(fmt.Sprintf("ir.CloneStmt: unknown statement %T", s))
 }
 
-func cloneExprs(es []Expr) []Expr {
-	return cloneExprsRemap(es, nil)
-}
-
 func cloneExprsRemap(es []Expr, mv func(*Var) *Var) []Expr {
 	out := make([]Expr, len(es))
 	for i, e := range es {

@@ -11,9 +11,9 @@
 // included), the same fuel consumption, and — crucially for the
 // segment-trace and WCET layers — the same ir.Meter event sequence
 // (every Ops/Read/Write call, in order, with the same amounts) as
-// ir.Exec. The tree walker stays in place as the differential oracle
-// (the SolveMIPReference pattern); FuzzVMExec and the internal/sim
-// golden diffs enforce the equivalence continuously.
+// ir.Exec. The tree walker stays in place as the differential oracle;
+// FuzzVMExec and the internal/sim golden diffs enforce the equivalence
+// continuously.
 package vm
 
 import (

@@ -40,9 +40,52 @@ func randomMIP(rng *rand.Rand) *Problem {
 	return p
 }
 
-// FuzzSolveMIP cross-checks the warm-started branch-and-bound against
-// the rebuild-per-node reference: same status, and objective values
-// within solver tolerance.
+// bruteForceMIP solves p by enumerating every integer assignment inside
+// the box 0 <= x[j] <= ub[j], pinning it with EQ rows and solving the
+// continuous rest. It reports ok=false when the box has more than limit
+// points.
+func bruteForceMIP(p *Problem, ub []float64, limit int) (sol Solution, ok bool) {
+	var ints []int
+	points := 1
+	for j, isInt := range p.Integer {
+		if isInt {
+			ints = append(ints, j)
+			if points *= int(ub[j]) + 1; points > limit {
+				return Solution{}, false
+			}
+		}
+	}
+	n := p.NumVars()
+	best := Solution{Status: Infeasible}
+	val := make([]int, len(ints))
+	for {
+		sub := &Problem{Obj: p.Obj, Cons: append([]Constraint{}, p.Cons...)}
+		for k, j := range ints {
+			coef := make([]float64, n)
+			coef[j] = 1
+			sub.AddEQ(coef, float64(val[k]))
+		}
+		if s := Solve(sub); s.Status == Optimal && (best.Status != Optimal || s.Obj > best.Obj) {
+			best = s
+		}
+		// Advance the mixed-radix counter over the box.
+		k := 0
+		for ; k < len(ints); k++ {
+			if val[k]++; val[k] <= int(ub[ints[k]]) {
+				break
+			}
+			val[k] = 0
+		}
+		if k == len(ints) {
+			return best, true
+		}
+	}
+}
+
+// FuzzSolveMIP checks branch-and-bound against brute-force enumeration
+// of the integer box whenever that box has at most 4096 points: same
+// status, and objective values within solver tolerance. Every Optimal
+// result must also satisfy the integrality restrictions.
 func FuzzSolveMIP(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed)
@@ -50,71 +93,30 @@ func FuzzSolveMIP(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomMIP(rng)
-		warm := SolveMIP(p)
-		cold := SolveMIPReference(p)
-		if warm.Status != cold.Status {
-			t.Fatalf("seed %d: warm status %v, cold status %v", seed, warm.Status, cold.Status)
+		got := SolveMIP(p)
+		if got.Status == Optimal {
+			if idx := firstFractional(got.X, p.Integer); idx >= 0 {
+				t.Fatalf("seed %d: solution fractional at %d: %v", seed, idx, got.X[idx])
+			}
 		}
-		if warm.Status != Optimal {
+		// randomMIP ends with one upper-bound row per variable.
+		ub := make([]float64, p.NumVars())
+		for j := range ub {
+			ub[j] = p.Cons[len(p.Cons)-len(ub)+j].RHS
+		}
+		want, ok := bruteForceMIP(p, ub, 4096)
+		if !ok {
 			return
 		}
-		tol := 1e-6 * (1 + math.Abs(cold.Obj))
-		if math.Abs(warm.Obj-cold.Obj) > tol {
-			t.Fatalf("seed %d: warm obj %v, cold obj %v (tol %v)", seed, warm.Obj, cold.Obj, tol)
+		if got.Status != want.Status {
+			t.Fatalf("seed %d: status %v, brute force %v", seed, got.Status, want.Status)
 		}
-		// The incumbent must satisfy the integrality restrictions.
-		if idx := firstFractional(warm.X, p.Integer); idx >= 0 {
-			t.Fatalf("seed %d: warm solution fractional at %d: %v", seed, idx, warm.X[idx])
+		if got.Status != Optimal {
+			return
+		}
+		tol := 1e-6 * (1 + math.Abs(want.Obj))
+		if math.Abs(got.Obj-want.Obj) > tol {
+			t.Fatalf("seed %d: obj %v, brute force %v (tol %v)", seed, got.Obj, want.Obj, tol)
 		}
 	})
-}
-
-func sameSolution(a, b Solution) bool {
-	if a.Status != b.Status || math.Float64bits(a.Obj) != math.Float64bits(b.Obj) || len(a.X) != len(b.X) {
-		return false
-	}
-	for i := range a.X {
-		if math.Float64bits(a.X[i]) != math.Float64bits(b.X[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestWorkspaceDeterministic asserts that repeated solves of the same
-// problem on one reused workspace are bit-identical: reinitialization
-// must not leak state from earlier (including larger) solves.
-func TestWorkspaceDeterministic(t *testing.T) {
-	w := NewWorkspace()
-	rng := rand.New(rand.NewSource(7))
-	probs := make([]*Problem, 24)
-	for i := range probs {
-		probs[i] = randomMIP(rng)
-	}
-	firstLP := make([]Solution, len(probs))
-	firstMIP := make([]Solution, len(probs))
-	for i, p := range probs {
-		firstLP[i] = w.Solve(p)
-		firstMIP[i] = w.SolveMIP(p)
-	}
-	// Replay in a different interleaving on the same workspace.
-	for round := 0; round < 2; round++ {
-		for i := len(probs) - 1; i >= 0; i-- {
-			if got := w.Solve(probs[i]); !sameSolution(got, firstLP[i]) {
-				t.Fatalf("round %d problem %d: Solve not bit-identical: %+v vs %+v", round, i, got, firstLP[i])
-			}
-			if got := w.SolveMIP(probs[i]); !sameSolution(got, firstMIP[i]) {
-				t.Fatalf("round %d problem %d: SolveMIP not bit-identical: %+v vs %+v", round, i, got, firstMIP[i])
-			}
-		}
-	}
-	// The pooled package-level entry points agree with a fresh workspace.
-	for i, p := range probs {
-		if got := Solve(p); !sameSolution(got, firstLP[i]) {
-			t.Fatalf("pooled Solve differs on problem %d", i)
-		}
-		if got := SolveMIP(p); !sameSolution(got, firstMIP[i]) {
-			t.Fatalf("pooled SolveMIP differs on problem %d", i)
-		}
-	}
 }

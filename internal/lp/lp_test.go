@@ -131,6 +131,27 @@ func TestSolveMIPForcesIntegrality(t *testing.T) {
 	}
 }
 
+// TestSolveMIPNodeLimit cuts branch-and-bound short. The search first
+// visits the y >= 2 branch: after one node it has no incumbent, after
+// two or three it holds 18 at (2, 2), below the optimum 20 at (4, 0).
+// Neither Infeasible nor that incumbent may be reported as the answer.
+func TestSolveMIPNodeLimit(t *testing.T) {
+	p := &Problem{Obj: []float64{5, 4}, Integer: []bool{true, true}}
+	p.AddLE([]float64{6, 4}, 24)
+	p.AddLE([]float64{1, 2}, 6)
+	defer func(n int) { maxBBNodes = n }(maxBBNodes)
+	for _, limit := range []int{1, 2, 3} {
+		maxBBNodes = limit
+		if s := SolveMIP(p); s.Status != NodeLimit {
+			t.Fatalf("cap %d: sol %+v, want status %v", limit, s, NodeLimit)
+		}
+	}
+	maxBBNodes = 1000
+	if s := SolveMIP(p); s.Status != Optimal || !near(s.Obj, 20) {
+		t.Fatalf("uncapped: sol %+v", s)
+	}
+}
+
 // Property: for random LE-only problems with non-negative data, the
 // simplex solution is feasible and at least as good as any of a set of
 // random feasible points.
@@ -214,7 +235,8 @@ func TestRelationAndStatusStrings(t *testing.T) {
 	if LE.String() != "<=" || GE.String() != ">=" || EQ.String() != "==" {
 		t.Fatal("relation strings")
 	}
-	if Optimal.String() != "optimal" || Infeasible.String() != "infeasible" || Unbounded.String() != "unbounded" {
+	if Optimal.String() != "optimal" || Infeasible.String() != "infeasible" || Unbounded.String() != "unbounded" ||
+		NodeLimit.String() != "node limit" {
 		t.Fatal("status strings")
 	}
 }

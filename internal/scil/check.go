@@ -1,9 +1,6 @@
 package scil
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // CheckMode selects how strict semantic analysis is.
 type CheckMode int
@@ -35,14 +32,6 @@ func check(prog *Program, mode CheckMode) *checker {
 		c.checkRecursion()
 	}
 	return c
-}
-
-// MustCheck panics if prog fails Check; convenience for built-in models.
-func MustCheck(prog *Program, mode CheckMode) *Program {
-	if errs := Check(prog, mode); len(errs) > 0 {
-		panic(fmt.Sprintf("scil.MustCheck: %v", errs[0]))
-	}
-	return prog
 }
 
 type checker struct {

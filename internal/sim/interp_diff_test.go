@@ -3,7 +3,7 @@
 // both must match the recorded goldens — across every builtin platform ×
 // use case × input seed, with and without fault injection. This is the
 // acceptance gate that lets the VM own the hot path while the tree
-// walker stays the oracle (the SolveMIPReference pattern).
+// walker stays the oracle.
 package sim_test
 
 import (
