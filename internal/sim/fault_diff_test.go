@@ -1,8 +1,9 @@
 // Differential tests for the fault-injection layer (see docs/TESTING.md):
 // a disabled fault spec must leave the simulator bit-identical to the
 // recorded pre-injection goldens over every builtin platform × use case,
-// and an enabled spec must be a pure function of its seed — byte-equal
-// reports from concurrently racing runs.
+// an enabled spec must reproduce the recorded injected goldens, and an
+// enabled spec must be a pure function of its seed — byte-equal reports
+// from concurrently racing runs.
 //
 // The external test package breaks the import cycle: the oracle compiles
 // through internal/core, which itself imports internal/sim.
@@ -29,7 +30,8 @@ import (
 // fingerprint flattens a simulation report into one canonical line:
 // every timing observable verbatim, plus an FNV-64a hash over the raw
 // bit patterns of the numeric results (bit-identical, not epsilon-equal).
-// The format must stay in sync with testdata/fault_golden.txt.
+// The format must stay in sync with testdata/fault_golden.txt and
+// testdata/fault_inject_golden.txt.
 func fingerprint(rep *sim.Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "makespan=%d exec=%d buswait=%d pro=%d epi=%d",
@@ -63,11 +65,12 @@ func fingerprint(rep *sim.Report) string {
 	return b.String()
 }
 
-// loadGolden parses testdata/fault_golden.txt into
-// (platform, usecase, seed) -> fingerprint.
-func loadGolden(t *testing.T) map[string]string {
+// loadGolden parses a golden file whose lines are keyFields
+// space-separated key fields followed by a fingerprint into
+// key -> fingerprint.
+func loadGolden(t *testing.T, path string, keyFields int) map[string]string {
 	t.Helper()
-	f, err := os.Open("testdata/fault_golden.txt")
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +80,11 @@ func loadGolden(t *testing.T) map[string]string {
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		parts := strings.SplitN(line, " ", 4)
-		if len(parts) != 4 {
+		parts := strings.SplitN(line, " ", keyFields+1)
+		if len(parts) != keyFields+1 {
 			t.Fatalf("malformed golden line: %q", line)
 		}
-		golden[parts[0]+" "+parts[1]+" "+parts[2]] = parts[3]
+		golden[strings.Join(parts[:keyFields], " ")] = parts[keyFields]
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -99,7 +102,7 @@ func loadGolden(t *testing.T) map[string]string {
 // injector allocation, a reordered event, a perturbed draw — shows up
 // as a one-line diff here.
 func TestZeroFaultBitIdenticalToGolden(t *testing.T) {
-	golden := loadGolden(t)
+	golden := loadGolden(t, "testdata/fault_golden.txt", 3)
 	covered := 0
 	for _, pname := range adl.BuiltinNames() {
 		platform := adl.Builtin(pname)
@@ -141,6 +144,68 @@ func TestZeroFaultBitIdenticalToGolden(t *testing.T) {
 				}
 			})
 			covered += 2
+		}
+	}
+	if covered != len(golden) {
+		t.Errorf("matrix covers %d runs, golden file has %d", covered, len(golden))
+	}
+}
+
+// injectedGoldenSpecs are the fault scenarios of
+// testdata/fault_inject_golden.txt, by the name in its key: access jitter
+// alone, and full jitter with in-headroom execution inflation. Each run
+// uses its input seed as the fault seed.
+var injectedGoldenSpecs = []struct {
+	name string
+	spec fault.Spec
+}{
+	{"jitter", fault.Spec{AccessJitter: 0.7}},
+	{"jitter+inflation", fault.Spec{AccessJitter: 1, ExecInflation: 0.5}},
+}
+
+// TestFaultInjectedBitIdenticalToGolden: RunFaulty with access jitter
+// (and execution inflation) must reproduce the fingerprints recorded from
+// the simulator before its event loop was rewritten, for every builtin
+// platform × use case × input seed. Jitter moves a core's completion
+// times and so which request reaches the bus first; a reordered grant or
+// signal post under injection shows up as a one-line diff here.
+func TestFaultInjectedBitIdenticalToGolden(t *testing.T) {
+	golden := loadGolden(t, "testdata/fault_inject_golden.txt", 4)
+	covered := 0
+	for _, pname := range adl.BuiltinNames() {
+		platform := adl.Builtin(pname)
+		for _, u := range usecases.All() {
+			u := u
+			t.Run(pname+"/"+u.Name, func(t *testing.T) {
+				t.Parallel()
+				p, err := u.Program()
+				if err != nil {
+					t.Fatal(err)
+				}
+				art, err := core.Compile(p, core.DefaultOptions(u.Entry, u.Args, platform))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for seed := int64(1); seed <= 2; seed++ {
+					for _, sc := range injectedGoldenSpecs {
+						key := fmt.Sprintf("%s %s seed=%d %s", pname, u.Name, seed, sc.name)
+						want, ok := golden[key]
+						if !ok {
+							t.Fatalf("no golden fingerprint for %q", key)
+						}
+						spec := sc.spec
+						spec.Seed = seed
+						rep, err := sim.RunFaulty(context.Background(), art.Parallel, u.Inputs(seed), spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := fingerprint(rep); got != want {
+							t.Errorf("injected run drifted from golden\n key %s\n got  %s\n want %s", key, got, want)
+						}
+					}
+				}
+			})
+			covered += 2 * len(injectedGoldenSpecs)
 		}
 	}
 	if covered != len(golden) {

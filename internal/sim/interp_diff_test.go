@@ -25,7 +25,7 @@ import (
 // pre-VM goldens pins results, task timings, bus waits and DMA phases
 // bit-for-bit under both engines.
 func TestVMBitIdenticalToGolden(t *testing.T) {
-	golden := loadGolden(t)
+	golden := loadGolden(t, "testdata/fault_golden.txt", 3)
 	for _, pname := range adl.BuiltinNames() {
 		platform := adl.Builtin(pname)
 		for _, u := range usecases.All() {
