@@ -27,14 +27,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# CPU/heap profiles of the two simulator-bound experiment benchmarks,
-# written under profiles/ (gitignored) for `go tool pprof`.
+# CPU/heap profiles of the two simulator-bound experiment benchmarks and
+# of the simulator itself on the 16-core mesh, written under profiles/
+# (gitignored) for `go tool pprof`.
 profile:
 	mkdir -p profiles
 	$(GO) test -run=^$$ -bench='BenchmarkE2Tightness$$' -benchtime=10x \
 		-cpuprofile profiles/e2.cpu.prof -memprofile profiles/e2.mem.prof .
 	$(GO) test -run=^$$ -bench='BenchmarkE5NoC$$' -benchtime=10x \
 		-cpuprofile profiles/e5.cpu.prof -memprofile profiles/e5.mem.prof .
+	$(GO) test -run=^$$ -bench='^BenchmarkSimulate$$/^leon3-4x4$$' -benchtime=200x \
+		-cpuprofile profiles/sim.cpu.prof -memprofile profiles/sim.mem.prof .
 
 # One-iteration smoke run so `make check` catches bitrot in the
 # benchmarks without paying for a full measurement.

@@ -505,7 +505,9 @@ func BenchmarkTreeExec(b *testing.B) {
 }
 
 // BenchmarkSimulate measures end-to-end simulator runs/sec with the
-// bytecode VM on the functional phase (the default engine).
+// bytecode VM on the functional phase (the default engine), on a 4-core
+// bus and a 16-core mesh so the event loop's scaling with core count
+// shows.
 func BenchmarkSimulate(b *testing.B) {
 	benchSimulate(b, sim.InterpVM)
 }
@@ -518,18 +520,23 @@ func BenchmarkSimulateTree(b *testing.B) {
 
 func benchSimulate(b *testing.B, interp sim.Interp) {
 	u := usecases.POLKA()
-	art, err := argo.CompileUseCase(u, argo.Platform("xentium4"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Cycle over eight input seeds: traces of the input-invariant
-		// tasks come warm from the cache, every other task is metered.
-		if _, err := sim.RunInterp(art.Parallel, u.Inputs(int64(i%8)), interp); err != nil {
-			b.Fatal(err)
-		}
+	for _, platform := range []string{"xentium4", "leon3-4x4"} {
+		b.Run(platform, func(b *testing.B) {
+			art, err := argo.CompileUseCase(u, argo.Platform(platform))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Cycle over eight input seeds: traces of the
+				// input-invariant tasks come warm from the cache, every
+				// other task is metered.
+				if _, err := sim.RunInterp(art.Parallel, u.Inputs(int64(i%8)), interp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

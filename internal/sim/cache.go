@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"expvar"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -166,28 +167,35 @@ func (c *traceCache) vmProgram(p *par.Program) *vm.Program {
 // publish offers the traces of a run that metered every task; the
 // invariant ones become the program's cached traces unless a concurrent
 // run published first (runs meter identical traces, so either copy is
-// correct).
+// correct). The run's traces live in its pooled segment buffer, which the
+// next run overwrites, so the published ones are copied out.
 func (c *traceCache) publish(traces [][]segment) {
 	pub := make([][]segment, len(traces))
 	for t, tr := range traces {
 		if c.invariant[t] {
-			pub[t] = tr
+			pub[t] = slices.Clone(tr)
 		}
 	}
 	c.traces.CompareAndSwap(nil, &pub)
 }
 
 // runState is the pooled mutable state of one simulation run: the
-// interpreter (tree walker or bytecode machine), per-core event-loop
-// cursors, and the signal tables. With it, the steady-state
-// discrete-event loop performs no allocations and no map operations.
+// interpreter (tree walker or bytecode machine), the trace meter and its
+// segment buffer, per-core event-loop cursors, the per-core isolated
+// shared-access latency table, the event heap, and the signal tables. With it, steady-state
+// metering and the discrete-event loop perform no allocations and no map
+// operations.
 type runState struct {
 	ex         *ir.Exec
 	vm         *vm.Machine
+	meter      traceMeter
 	traces     [][]segment
 	cores      []coreState
+	accessLat  []int64
+	heap       eventHeap
 	signalTime []int64
 	posted     []bool
+	waiters    []int // signal -> first parked core, -1 if none
 }
 
 var runPool = sync.Pool{New: func() any { return &runState{} }}
@@ -208,10 +216,16 @@ func (rs *runState) prepare(p *par.Program, cp *vm.Program) {
 			rs.ex.Reset(p.IR)
 		}
 	}
+	rs.meter.reset()
 	rs.traces = growClear(rs.traces, len(p.Input.Tasks))
 	rs.cores = growClear(rs.cores, p.Platform.NumCores())
+	rs.accessLat = growClear(rs.accessLat, p.Platform.NumCores())
+	for c := range rs.accessLat {
+		rs.accessLat[c] = int64(p.Platform.SharedAccessIsolated(c))
+	}
 	rs.signalTime = growClear(rs.signalTime, p.Signals)
 	rs.posted = growClear(rs.posted, p.Signals)
+	rs.waiters = growClear(rs.waiters, p.Signals)
 }
 
 // growClear returns s with length n and every element zeroed.

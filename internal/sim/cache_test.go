@@ -6,6 +6,7 @@ import (
 
 	"argo/internal/adl"
 	"argo/internal/ir"
+	"argo/internal/par"
 	"argo/internal/sched"
 	"argo/internal/wcet"
 )
@@ -38,7 +39,9 @@ func TestTraceCacheWarmRunsIdentical(t *testing.T) {
 // TestTraceCacheInvariance checks the gate itself: the straight-line
 // pipeline caches every task, while the branchy kernel (data-dependent
 // if) has variant tasks that are never published — and published traces
-// equal freshly metered ones.
+// equal freshly metered ones, also after later runs have re-metered the
+// variant tasks into the pooled segment buffer the published traces were
+// first metered into.
 func TestTraceCacheInvariance(t *testing.T) {
 	platform := adl.XentiumPlatform(3)
 	spec := ir.ArgSpec{Rows: 8, Cols: 8}
@@ -66,15 +69,23 @@ func TestTraceCacheInvariance(t *testing.T) {
 	if _, err := Run(b, [][]float64{randImg(64, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	if bpub := cb.traces.Load(); bpub == nil {
-		t.Error("branchy program: first complete run published no traces")
-	} else {
-		for tid, tr := range *bpub {
-			if (tr != nil) != cb.invariant[tid] {
-				t.Errorf("branchy task %d: published=%v, invariant=%v", tid, tr != nil, cb.invariant[tid])
-			}
+	bpub := cb.traces.Load()
+	if bpub == nil {
+		t.Fatal("branchy program: first complete run published no traces")
+	}
+	for tid, tr := range *bpub {
+		if (tr != nil) != cb.invariant[tid] {
+			t.Errorf("branchy task %d: published=%v, invariant=%v", tid, tr != nil, cb.invariant[tid])
 		}
 	}
+	// Later runs re-meter the variant tasks into the pooled buffer; a
+	// published trace that aliased it would now hold their segments.
+	for seed := int64(2); seed < 6; seed++ {
+		if _, err := Run(b, [][]float64{randImg(64, seed)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkPublished(t, b, *bpub)
 
 	// Populate the cache, then independently re-meter every invariant
 	// task and compare segment for segment.
@@ -85,21 +96,7 @@ func TestTraceCacheInvariance(t *testing.T) {
 	if pub == nil {
 		t.Fatal("first complete run published no traces")
 	}
-	ex := ir.NewExec(p.IR, nil)
-	if err := ex.Init([][]float64{randImg(64, 2)}); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range p.Graph.Nodes {
-		tm := &traceMeter{model: wcet.ModelFor(p.Platform, p.Schedule.Placements[n.ID].Core)}
-		ex.SetMeter(tm)
-		if err := ex.ExecBlock(n.Stmts); err != nil {
-			t.Fatal(err)
-		}
-		fresh := tm.finish()
-		if cached := (*pub)[n.ID]; !reflect.DeepEqual(cached, fresh) {
-			t.Errorf("task %d: cached trace differs from fresh metering\n cached: %v\n  fresh: %v", n.ID, cached, fresh)
-		}
-	}
+	checkPublished(t, p, *pub)
 
 	// Counter sanity: a second warm run of the pipeline only hits.
 	h0, m0 := TraceCacheCounters()
@@ -112,5 +109,26 @@ func TestTraceCacheInvariance(t *testing.T) {
 	}
 	if m1 != m0 {
 		t.Errorf("warm run of fully-invariant program recorded misses (%d -> %d)", m0, m1)
+	}
+}
+
+// checkPublished re-meters every task of p on a fresh tree walker and
+// requires each published trace to equal its fresh metering.
+func checkPublished(t *testing.T, p *par.Program, pub [][]segment) {
+	t.Helper()
+	ex := ir.NewExec(p.IR, nil)
+	if err := ex.Init([][]float64{randImg(64, 7)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range p.Graph.Nodes {
+		tm := &traceMeter{model: wcet.ModelFor(p.Platform, p.Schedule.Placements[n.ID].Core)}
+		ex.SetMeter(tm)
+		if err := ex.ExecBlock(n.Stmts); err != nil {
+			t.Fatal(err)
+		}
+		fresh := tm.finish()
+		if cached := pub[n.ID]; cached != nil && !reflect.DeepEqual(cached, fresh) {
+			t.Errorf("task %d: cached trace differs from fresh metering\n cached: %v\n  fresh: %v", n.ID, cached, fresh)
+		}
 	}
 }

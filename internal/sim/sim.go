@@ -15,7 +15,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"argo/internal/adl"
 	"argo/internal/fault"
@@ -32,11 +31,15 @@ type segment struct {
 	Access bool
 }
 
-// traceMeter builds a task's segment trace during functional execution.
+// traceMeter builds task segment traces during functional execution. All
+// traces of one run are metered into the one buffer segs (pooled with the
+// run state); each finished trace is a capped sub-slice of it, so a later
+// append can never write into an earlier trace.
 type traceMeter struct {
 	model wcet.CostModel
 	gap   int64
 	segs  []segment
+	start int // first segment of the trace being metered
 }
 
 func (tm *traceMeter) Ops(n int) { tm.gap += int64(n) * int64(tm.model.OpCycles) }
@@ -53,11 +56,21 @@ func (tm *traceMeter) touch(v *ir.Var) {
 func (tm *traceMeter) Read(v *ir.Var)  { tm.touch(v) }
 func (tm *traceMeter) Write(v *ir.Var) { tm.touch(v) }
 
+// finish closes the trace being metered and returns it.
 func (tm *traceMeter) finish() []segment {
-	segs := append(tm.segs, segment{Gap: tm.gap})
-	tm.segs = nil
+	tm.segs = append(tm.segs, segment{Gap: tm.gap})
+	n := len(tm.segs)
+	tr := tm.segs[tm.start:n:n]
+	tm.start = n
 	tm.gap = 0
-	return segs
+	return tr
+}
+
+// reset empties the buffer for a new run, keeping its storage.
+func (tm *traceMeter) reset() {
+	tm.segs = tm.segs[:0]
+	tm.start = 0
+	tm.gap = 0
 }
 
 // coreState is one core's cursor through its static program during the
@@ -69,72 +82,71 @@ type coreState struct {
 	segs    []segment
 	segIdx  int
 	inTask  int // task id when executing segments, else -1
-	// pendingAccess marks that the core has issued a bus request at
-	// its current time; serving it is a separate event so the global
-	// min-time order equals the bus request order.
+	// pendingAccess marks that the core has issued a bus request at its
+	// current time and yielded before the grant.
 	pendingAccess bool
+	// nextWaiter links the cores parked on the same signal (-1 ends the
+	// list).
+	nextWaiter int
 }
 
-// arbiter models the shared-memory interconnect's arbitration.
-type arbiter interface {
-	// access serves one access requested by core at reqTime and returns
-	// its completion time plus the arbitration wait it suffered.
-	access(core int, reqTime int64) (done, wait int64)
+// event is a runnable core in the event heap, keyed by (time, core):
+// the core that would step next in a scan for the least time with ties
+// to the lower core index.
+type event struct {
+	time int64
+	core int
 }
 
-// rrBus is a round-robin (FIFO under conservative event order) bus.
-type rrBus struct {
-	platform *adl.Platform
-	free     int64
-	waits    *int64
+func (a event) before(b event) bool {
+	return a.time < b.time || a.time == b.time && a.core < b.core
 }
 
-func (b *rrBus) access(core int, reqTime int64) (int64, int64) {
-	grant := reqTime
-	if b.free > grant {
-		grant = b.free
+// eventHeap is a binary min-heap of events.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !q[i].before(q[up]) {
+			break
+		}
+		q[i], q[up] = q[up], q[i]
+		i = up
 	}
-	*b.waits += grant - reqTime
-	b.free = grant + int64(b.platform.Bus.SlotCycles)
-	return grant + int64(b.platform.SharedAccessIsolated(core)), grant - reqTime
+	*h = q
 }
 
-// tdmBus grants each core only its own periodic slot.
-type tdmBus struct {
-	platform *adl.Platform
-	waits    *int64
-}
-
-func (b *tdmBus) access(core int, reqTime int64) (int64, int64) {
-	slot := int64(b.platform.Bus.SlotCycles)
-	k := int64(b.platform.NumCores())
-	period := slot * k
-	// Next time >= reqTime with (t/slot) mod k == core.
-	base := (reqTime / period) * period
-	grant := base + int64(core)*slot
-	for grant < reqTime {
-		grant += period
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && q[l].before(q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q[r].before(q[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
 	}
-	*b.waits += grant - reqTime
-	return grant + int64(b.platform.SharedAccessIsolated(core)), grant - reqTime
+	*h = q
+	return top
 }
 
-// nocPort models the shared-memory controller port of the mesh: WRR
-// service quantum per contender, like a bus with a WRR-weight slot.
-type nocPort struct {
-	platform *adl.Platform
-	free     int64
-	waits    *int64
-}
-
-func (b *nocPort) access(core int, reqTime int64) (int64, int64) {
-	grant := reqTime
-	if b.free > grant {
-		grant = b.free
-	}
-	*b.waits += grant - reqTime
-	b.free = grant + int64(b.platform.NoC.WRRWeight*b.platform.NoC.LinkCycles)
-	return grant + int64(b.platform.SharedAccessIsolated(core)), grant - reqTime
+// aheadOf reports whether no event in h precedes e, i.e. e's core would
+// be the one a scan for the least (time, core) picks.
+func (h eventHeap) aheadOf(e event) bool {
+	return len(h) == 0 || e.before(h[0])
 }
 
 // Report is the outcome of one simulation run.
@@ -227,7 +239,7 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 	if pub := cache.traces.Load(); pub != nil {
 		cached = *pub
 	}
-	var tm traceMeter
+	tm := &rs.meter
 	var hits int64
 	for _, n := range p.Graph.Nodes {
 		if err := ctx.Err(); err != nil {
@@ -241,7 +253,7 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 		if tr == nil {
 			core := p.Schedule.Placements[n.ID].Core
 			tm.model = wcet.ModelFor(p.Platform, core)
-			meter = &tm
+			meter = tm
 		} else {
 			hits++
 		}
@@ -285,9 +297,8 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 		if inj.Spec().ExecInflation > 0 {
 			for t := 0; t < nTasks; t++ {
 				core := p.Schedule.Placements[t].Core
-				isolatedAccess := int64(p.Platform.SharedAccessIsolated(core))
 				segs := traces[t]
-				isolated := int64(len(segs)-1) * isolatedAccess
+				isolated := int64(len(segs)-1) * rs.accessLat[core]
 				for _, s := range segs {
 					isolated += s.Gap
 				}
@@ -320,70 +331,51 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 
 	// Phase 2: conservative discrete-event execution of the core
 	// programs (times relative to the end of the prologue).
-	var busWaits int64
-	var arb arbiter
+	//
+	// The observable order is that of a scan which, event by event, steps
+	// the runnable core with the least (time, core). Only two steps are
+	// visible to other cores: a bus grant (arbitration state) and a
+	// signal post (which cores are runnable). Every other step — compute
+	// gaps, task release, a wait on a posted signal, an access's
+	// completion — touches only its own core, so a core runs them
+	// without a scheduling decision and consults the heap of runnable
+	// cores only before a visible step, yielding unless it holds the
+	// least key. A core that waits on an unposted signal is parked on the
+	// signal's waiter list until the post pushes it back.
+	//
+	// Arbitration: round-robin bus and NoC port grant FIFO (under this
+	// event order) and hold the resource for one slot; TDM grants each
+	// core only its own periodic slot.
+	var busWaits, busFree int64
+	var hold, slot, period int64
+	tdm := false
 	switch {
 	case p.Platform.Bus != nil && p.Platform.Bus.Arbitration == adl.ArbTDM:
-		arb = &tdmBus{platform: p.Platform, waits: &busWaits}
+		tdm = true
+		slot = int64(p.Platform.Bus.SlotCycles)
+		period = slot * int64(p.Platform.NumCores())
 	case p.Platform.Bus != nil:
-		arb = &rrBus{platform: p.Platform, waits: &busWaits}
+		hold = int64(p.Platform.Bus.SlotCycles)
 	default:
-		arb = &nocPort{platform: p.Platform, waits: &busWaits}
+		hold = int64(p.Platform.NoC.WRRWeight * p.Platform.NoC.LinkCycles)
 	}
+	accessLat := rs.accessLat
 	cores := rs.cores
+	heap := rs.heap[:0]
 	for c := range cores {
-		cores[c] = coreState{entries: p.CoreEntries[c], inTask: -1}
+		cores[c] = coreState{entries: p.CoreEntries[c], inTask: -1, nextWaiter: -1}
+		heap = append(heap, event{core: c}) // equal times in core order: a heap
 	}
 	signalTime := rs.signalTime
 	posted := rs.posted
+	waiters := rs.waiters
+	for s := range waiters {
+		waiters[s] = -1
+	}
 	events := 0
-	for {
-		// Pick the runnable core with minimal time (conservative DES),
-		// and remember the runner-up's time: the chosen core can then
-		// step repeatedly without a rescan while it stays strictly below
-		// every other eligible core (no other core could have been
-		// picked, and blocked cores only wake on a signal post, which
-		// forces a rescan below).
-		best := -1
-		bestTime := int64(math.MaxInt64)
-		second := int64(math.MaxInt64)
-		for c := range cores {
-			cs := &cores[c]
-			if cs.idx >= len(cs.entries) && cs.inTask < 0 {
-				continue
-			}
-			if cs.inTask < 0 && cs.entries[cs.idx].Kind == par.EntryWait {
-				if !posted[cs.entries[cs.idx].Sig] {
-					continue // blocked
-				}
-			}
-			if cs.time < bestTime {
-				second = bestTime
-				best = c
-				bestTime = cs.time
-			} else if cs.time < second {
-				second = cs.time
-			}
-		}
-		if best < 0 {
-			// All done or deadlock.
-			done := true
-			for c := range cores {
-				if cores[c].idx < len(cores[c].entries) || cores[c].inTask >= 0 {
-					done = false
-				}
-			}
-			if !done {
-				return nil, fmt.Errorf("sim: deadlock (waiting on never-posted signal)")
-			}
-			break
-		}
-		// Step the chosen core until its time reaches the runner-up's
-		// (another core could then hold the minimum, or tie with a lower
-		// index), it blocks or finishes, or it posts a signal (which may
-		// wake a core whose time is below ours). Every exit rescans, so
-		// the step order is identical to a scan per event.
-		cs := &cores[best]
+	for len(heap) > 0 {
+		c := heap.pop().core
+		cs := &cores[c]
 	step:
 		for {
 			events++
@@ -393,77 +385,96 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 				}
 			}
 			if cs.inTask >= 0 {
-				if cs.pendingAccess {
-					// Serve the previously issued bus request.
-					done, wait := arb.access(best, cs.time)
+				// One segment: its compute gap, then (unless last) a bus
+				// request at the gap's end time, granted once no other
+				// core's event precedes it.
+				seg := cs.segs[cs.segIdx]
+				if !cs.pendingAccess {
+					cs.time += seg.Gap
+					if seg.Access && !heap.aheadOf(event{cs.time, c}) {
+						cs.pendingAccess = true
+						heap.push(event{cs.time, c})
+						break step
+					}
+				}
+				if seg.Access {
+					req := cs.time
+					var grant int64
+					if tdm {
+						// Next time >= req with (t/slot) mod cores == c.
+						grant = req/period*period + int64(c)*slot
+						if grant < req {
+							grant += period
+						}
+					} else {
+						grant = max(req, busFree)
+						busFree = grant + hold
+					}
+					wait := grant - req
+					busWaits += wait
+					cs.time = grant + accessLat[c]
 					if inj != nil {
 						// Jitter the access within its remaining modeled
 						// interference budget. Only this core's completion
-						// moves — arbiter state is untouched — so other cores
-						// never see interference beyond the model.
+						// moves — arbitration state is untouched — so other
+						// cores never see interference beyond the model.
 						t := cs.inTask
-						done += inj.AccessDelay(t, accessIdx[t], perAccessBudget[t]-wait)
+						cs.time += inj.AccessDelay(t, accessIdx[t], perAccessBudget[t]-wait)
 						accessIdx[t]++
 					}
-					cs.time = done
 					cs.pendingAccess = false
-					cs.segIdx++
-					if cs.segIdx == len(cs.segs) {
-						rep.TaskFinish[cs.inTask] = cs.time
-						cs.inTask = -1
-					}
-				} else {
-					// Execute one compute segment; a trailing access
-					// becomes a pending request at the segment's end time.
-					seg := cs.segs[cs.segIdx]
-					cs.time += seg.Gap
-					if seg.Access {
-						cs.pendingAccess = true
-					} else {
-						cs.segIdx++
-						if cs.segIdx == len(cs.segs) {
-							rep.TaskFinish[cs.inTask] = cs.time
-							cs.inTask = -1
-						}
-					}
 				}
-			} else if cs.idx >= len(cs.entries) {
-				break step // finished
-			} else {
-				e := cs.entries[cs.idx]
-				switch e.Kind {
-				case par.EntryWait:
-					if !posted[e.Sig] {
-						break step // blocked until another core posts
-					}
-					if t := signalTime[e.Sig]; t > cs.time {
-						cs.time = t
-					}
-					cs.idx++
-				case par.EntrySignal:
-					posted[e.Sig] = true
-					if cs.time > signalTime[e.Sig] {
-						signalTime[e.Sig] = cs.time
-					}
-					cs.idx++
-					break step // may wake an earlier-time core
-				case par.EntryCompute:
-					if e.Release > cs.time {
-						cs.time = e.Release // time-triggered release
-					}
-					rep.TaskStart[e.Task] = cs.time
-					cs.inTask = e.Task
-					cs.segs = traces[e.Task]
-					cs.segIdx = 0
-					cs.idx++
+				cs.segIdx++
+				if cs.segIdx == len(cs.segs) {
+					rep.TaskFinish[cs.inTask] = cs.time
+					cs.inTask = -1
 				}
+				continue
 			}
-			if cs.time >= second {
-				break
+			if cs.idx >= len(cs.entries) {
+				break // finished
 			}
+			e := cs.entries[cs.idx]
+			switch e.Kind {
+			case par.EntryWait:
+				if !posted[e.Sig] {
+					cs.nextWaiter = waiters[e.Sig]
+					waiters[e.Sig] = c
+					break step // parked until the post
+				}
+				if t := signalTime[e.Sig]; t > cs.time {
+					cs.time = t
+				}
+			case par.EntrySignal:
+				if !heap.aheadOf(event{cs.time, c}) {
+					heap.push(event{cs.time, c})
+					break step
+				}
+				posted[e.Sig] = true
+				if cs.time > signalTime[e.Sig] {
+					signalTime[e.Sig] = cs.time
+				}
+				for w := waiters[e.Sig]; w >= 0; w = cores[w].nextWaiter {
+					heap.push(event{cores[w].time, w})
+				}
+				waiters[e.Sig] = -1
+			case par.EntryCompute:
+				if e.Release > cs.time {
+					cs.time = e.Release // time-triggered release
+				}
+				rep.TaskStart[e.Task] = cs.time
+				cs.inTask = e.Task
+				cs.segs = traces[e.Task]
+				cs.segIdx = 0
+			}
+			cs.idx++
 		}
 	}
+	rs.heap = heap
 	for c := range cores {
+		if cores[c].idx < len(cores[c].entries) || cores[c].inTask >= 0 {
+			return nil, fmt.Errorf("sim: deadlock (waiting on never-posted signal)")
+		}
 		if cores[c].time > rep.ExecSpan {
 			rep.ExecSpan = cores[c].time
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"argo/internal/adl"
 	"argo/internal/htg"
@@ -121,6 +122,41 @@ func randImg(n int, seed int64) []float64 {
 		out[i] = rng.Float64()*100 - 40
 	}
 	return out
+}
+
+// TestDeadlockReported: a core waiting on a signal that no core posts
+// stays parked on the signal's waiter list; once no core is runnable the
+// run must end with the deadlock error instead of spinning or hanging.
+func TestDeadlockReported(t *testing.T) {
+	pp := buildPipeline(t, pipelineSrc, adl.XentiumPlatform(4), sched.ListContentionAware, false, ir.MatrixArg(8, 8))
+	entries := make([][]par.Entry, len(pp.CoreEntries))
+	dropped := false
+	for c, es := range pp.CoreEntries {
+		for _, e := range es {
+			if !dropped && e.Kind == par.EntrySignal {
+				dropped = true
+				continue
+			}
+			entries[c] = append(entries[c], e)
+		}
+	}
+	if !dropped {
+		t.Fatal("pipeline has no cross-core signal to drop")
+	}
+	pp.CoreEntries = entries
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(pp, [][]float64{randImg(64, 1)})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "sim: deadlock") {
+			t.Fatalf("want sim: deadlock error, got %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return on a program with a never-posted signal")
+	}
 }
 
 func TestSimFunctionalCorrectness(t *testing.T) {
