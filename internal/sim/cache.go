@@ -181,8 +181,8 @@ func (c *traceCache) publish(traces [][]segment) {
 
 // runState is the pooled mutable state of one simulation run: the
 // interpreter (tree walker or bytecode machine), the trace meter and its
-// segment buffer, per-core event-loop cursors, the per-core isolated
-// shared-access latency table, the event heap, and the signal tables. With it, steady-state
+// segment buffer, per-core event-loop cursors and isolated shared-access
+// latencies, the event heap, and the signal tables. With it, steady-state
 // metering and the discrete-event loop perform no allocations and no map
 // operations.
 type runState struct {
@@ -226,6 +226,9 @@ func (rs *runState) prepare(p *par.Program, cp *vm.Program) {
 	rs.signalTime = growClear(rs.signalTime, p.Signals)
 	rs.posted = growClear(rs.posted, p.Signals)
 	rs.waiters = growClear(rs.waiters, p.Signals)
+	for s := range rs.waiters {
+		rs.waiters[s] = -1
+	}
 }
 
 // growClear returns s with length n and every element zeroed.

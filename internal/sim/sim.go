@@ -369,9 +369,6 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 	signalTime := rs.signalTime
 	posted := rs.posted
 	waiters := rs.waiters
-	for s := range waiters {
-		waiters[s] = -1
-	}
 	events := 0
 	for len(heap) > 0 {
 		c := heap.pop().core
