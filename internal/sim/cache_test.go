@@ -53,6 +53,16 @@ func TestTraceCacheInvariance(t *testing.T) {
 			t.Errorf("pipeline task %d: want invariant trace", tid)
 		}
 	}
+	// The pipeline's first run meters every task and publishes them all;
+	// it also leaves the pooled segment buffer larger than the branchy
+	// program's traces, so the branchy run below meters into it in place.
+	if _, err := Run(p, [][]float64{randImg(64, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	pub := c.traces.Load()
+	if pub == nil {
+		t.Fatal("first complete run published no traces")
+	}
 
 	b := buildPipeline(t, branchySrc, platform, sched.ListOblivious, false, spec)
 	cb := cacheFor(b)
@@ -85,17 +95,9 @@ func TestTraceCacheInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Independently re-meter every task and compare each published trace
+	// segment for segment.
 	checkPublished(t, b, *bpub)
-
-	// Populate the cache, then independently re-meter every invariant
-	// task and compare segment for segment.
-	if _, err := Run(p, [][]float64{randImg(64, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	pub := c.traces.Load()
-	if pub == nil {
-		t.Fatal("first complete run published no traces")
-	}
 	checkPublished(t, p, *pub)
 
 	// Counter sanity: a second warm run of the pipeline only hits.
